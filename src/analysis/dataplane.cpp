@@ -101,12 +101,20 @@ bool patterns_overlap(const std::optional<T>& a, const std::optional<T>& b) {
     return !a.has_value() || !b.has_value() || *a == *b;
 }
 
+// Decided on compiled roots; the IR conjunction is built only for a
+// finding's witness. Each rule is compiled when the scan first needs it:
+// that order registers payload variables, and so fixes the witnesses.
 void check_device_tables(const Lifted& lifted, pred::Analyzer& analyzer,
                          Report& report) {
+    bdd::Manager& mgr = analyzer.manager();
+    const auto root_of = [&](const codegen::Flow_rule& r) {
+        return analyzer.compile(pred_of(r));
+    };
     for (const auto& [device, rules] : lifted.rules) {
         for (std::size_t i = 0; i < rules.size(); ++i) {
             const codegen::Flow_rule& r = *rules[i];
-            if (!analyzer.satisfiable(pred_of(r))) continue;
+            const bdd::Node root = root_of(r);
+            if (root == bdd::kFalse) continue;
 
             // Equal-priority determinism: two rules in the same band that
             // can match a common packet must agree on what to do with it.
@@ -117,22 +125,21 @@ void check_device_tables(const Lifted& lifted, pred::Analyzer& analyzer,
                 if (!patterns_overlap(r.match_tag, other.match_tag) ||
                     !patterns_overlap(r.match_dst_mac, other.match_dst_mac))
                     continue;
-                const ir::PredPtr both =
-                    ir::pred_and(pred_of(r), pred_of(other));
-                if (!analyzer.satisfiable(both)) continue;
+                if (mgr.disjoint(root, root_of(other))) continue;
                 report.push_back(
                     {Severity::error, "ambiguous-rules", device,
                      "equal-priority rules disagree: [" +
                          codegen::to_text(r) + "] vs [" +
                          codegen::to_text(other) + "]",
-                     packet_witness(analyzer, both)});
+                     packet_witness(analyzer, ir::pred_and(pred_of(r),
+                                                           pred_of(other)))});
             }
 
             // Shadowing (sound under-approximation): a higher-priority rule
             // contributes to covering `r` only when its tag and dst
             // patterns generalize r's, so the header predicates alone
             // decide whether any packet is left for r to claim.
-            ir::PredPtr covered = ir::pred_false();
+            bdd::Node covered = bdd::kFalse;
             bool any_cover = false;
             for (std::size_t j = 0; j < i; ++j) {
                 const codegen::Flow_rule& higher = *rules[j];
@@ -140,10 +147,10 @@ void check_device_tables(const Lifted& lifted, pred::Analyzer& analyzer,
                 if (!generalizes(higher.match_tag, r.match_tag) ||
                     !generalizes(higher.match_dst_mac, r.match_dst_mac))
                     continue;
-                covered = ir::pred_or(covered, pred_of(higher));
+                covered = mgr.apply_or(covered, root_of(higher));
                 any_cover = true;
             }
-            if (any_cover && analyzer.implies(pred_of(r), covered))
+            if (any_cover && mgr.implies(root, covered))
                 report.push_back(
                     {Severity::warning, "shadowed-rule", device,
                      "rule [" + codegen::to_text(r) +
@@ -471,6 +478,22 @@ std::vector<Class_check> select_classes(const core::Compilation& comp,
     return out;
 }
 
+// Static checks plus symbolic propagation of every class over one lifted
+// table, through the caller's analyzer; returns the classes it checked.
+std::vector<Class_check> check_lifted(const core::Compilation& compilation,
+                                      const Lifted& lifted,
+                                      const topo::Topology& topo,
+                                      pred::Analyzer& analyzer,
+                                      Report& report) {
+    check_device_tables(lifted, analyzer, report);
+    std::vector<Class_check> classes =
+        select_classes(compilation, topo, analyzer);
+    for (const Class_check& cls : classes)
+        for (const std::string& ingress : cls.ingresses)
+            propagate(lifted, topo, analyzer, cls, ingress, "", report);
+    return classes;
+}
+
 }  // namespace
 
 // ----------------------------------------------------------------- entries
@@ -489,11 +512,7 @@ Report check_dataplane(const core::Compilation& compilation,
                        const topo::Topology& topo) {
     Report report;
     pred::Analyzer analyzer;
-    const Lifted lifted(config);
-    check_device_tables(lifted, analyzer, report);
-    for (const Class_check& cls : select_classes(compilation, topo, analyzer))
-        for (const std::string& ingress : cls.ingresses)
-            propagate(lifted, topo, analyzer, cls, ingress, "", report);
+    (void)check_lifted(compilation, Lifted(config), topo, analyzer, report);
     return report;
 }
 
@@ -503,8 +522,12 @@ Report check_update(const core::Compilation& old_comp,
                     const codegen::Diff& diff,
                     const codegen::Configuration& new_config,
                     const topo::Topology& topo) {
-    Report report = check_dataplane(new_comp, new_config, topo);
-
+    // The post-update table is proved in full first (as check_dataplane);
+    // its lifted form, analyzer and class selection then serve the phase
+    // replays.
+    Report report;
+    pred::Analyzer analyzer;
+    bdd::Manager& mgr = analyzer.manager();
     codegen::Configuration prepared = old_config;
     codegen::apply_prepare(prepared, diff);
     codegen::Configuration committed = prepared;
@@ -513,15 +536,14 @@ Report check_update(const core::Compilation& old_comp,
                               Lifted(committed), Lifted(new_config)};
     static const char* const kPhase[4] = {"pre-update", "after prepare",
                                           "after commit", "post-update"};
-
-    pred::Analyzer analyzer;
-    bdd::Manager& mgr = analyzer.manager();
+    const std::vector<Class_check> classes =
+        check_lifted(new_comp, lifted[3], topo, analyzer, report);
 
     // A class is replayed across phases only when stable: present in both
     // compilations with the same predicate, not dropped on either side, and
     // with an unmoved classification point (a reroute legitimately leaves
     // the old ingress without a classifier mid-update).
-    for (Class_check cls : select_classes(new_comp, topo, analyzer)) {
+    for (Class_check cls : classes) {
         const core::Statement_plan* old_plan = find_plan(old_comp, cls.id);
         const core::Statement_plan* new_plan = find_plan(new_comp, cls.id);
         if (old_plan == nullptr || old_plan->drop) continue;

@@ -65,15 +65,17 @@ public:
         // per (device, action). The group's representative predicate is its
         // lexicographically smallest text, independent of emission order,
         // so the shared rule's identity survives removal of any non-minimal
-        // member and PR-6 diffs stay minimal.
+        // member and incremental diffs stay minimal. Text is rendered only
+        // to order structurally different members of one group.
         for (const core::Statement_plan& plan : comp_.plans) {
-            std::string text = ir::to_string(plan.statement.predicate);
-            const bdd::Node root = analyzer_.compile(plan.statement.predicate);
-            pred_roots_.emplace(text, root);
+            const ir::PredPtr& pred = plan.statement.predicate;
             const auto [it, inserted] =
-                reps_.try_emplace(root, text, plan.statement.predicate);
-            if (!inserted && text < it->second.first)
-                it->second = {std::move(text), plan.statement.predicate};
+                reps_.try_emplace(analyzer_.compile(pred), Rep{pred, {}});
+            Rep& rep = it->second;
+            if (inserted || ir::equal(pred, rep.pred)) continue;
+            if (rep.text.empty()) rep.text = ir::to_string(rep.pred);
+            std::string text = ir::to_string(pred);
+            if (text < rep.text) rep = Rep{pred, std::move(text)};
         }
     }
 
@@ -97,26 +99,26 @@ private:
         return topo_.node(n).name;
     }
 
-    // The compiled root / canonical representative of a plan's predicate
-    // (both precomputed in the constructor).
-    [[nodiscard]] bdd::Node pred_root(const ir::PredPtr& p) const {
-        return pred_roots_.at(ir::to_string(p));
-    }
-    [[nodiscard]] const ir::PredPtr& pred_rep(bdd::Node root) const {
-        return reps_.at(root).second;
+    // The canonical representative of a plan's predicate group (the
+    // analyzer serves the root from its identity memo).
+    [[nodiscard]] const ir::PredPtr& pred_rep(const ir::PredPtr& p) {
+        return reps_.at(analyzer_.compile(p)).pred;
     }
 
     // Pushes a predicate-matching rule unless an identical rule (same
     // device and action, hash-cons-equal predicate) was already emitted;
-    // with the match normalized to the group representative, the rendered
-    // text is a sound identity key. Returns whether the rule was new.
-    bool push_classify_rule(Flow_rule rule) {
-        if (!emitted_classify_.insert(to_text(rule)).second) {
+    // with the match normalized to the group representative, the
+    // representative's node is a sound identity for the predicate.
+    void push_classify_rule(Flow_rule rule) {
+        if (!emitted_classify_
+                 .emplace(rule.device, rule.priority, rule.match.get(),
+                          rule.match_dst_mac, rule.drop, rule.set_tag,
+                          rule.strip_tag, rule.out_port, rule.queue)
+                 .second) {
             ++out_.classify_rules_deduped;
-            return false;
+            return;
         }
         out_.flow_rules.push_back(std::move(rule));
-        return true;
     }
     [[nodiscard]] bool is_switch(topo::NodeId n) const {
         return topo_.node(n).kind == topo::Node_kind::switch_;
@@ -407,7 +409,7 @@ private:
         Flow_rule rule;
         rule.device = name(ingress);
         rule.priority = kClassifyPriority;
-        rule.match = pred_rep(pred_root(plan.statement.predicate));
+        rule.match = pred_rep(plan.statement.predicate);
         if (extra_dst_match) rule.match_dst_mac = comp_.addressing.mac(dst);
 
         const auto [accepted, hop] = fold_stay(*tree, in_sym, *entry);
@@ -468,7 +470,7 @@ private:
             Flow_rule rule;
             rule.device = name(sw);
             rule.priority = kDropPriority;
-            rule.match = pred_rep(pred_root(plan.statement.predicate));
+            rule.match = pred_rep(plan.statement.predicate);
             rule.drop = true;
             push_classify_rule(std::move(rule));
         }
@@ -503,10 +505,19 @@ private:
     pred::Analyzer analyzer_;
 
     std::vector<std::string> class_text_;  // path class -> expression text
-    // Predicate text -> BDD root, and root -> (canonical text, predicate).
-    std::map<std::string, bdd::Node> pred_roots_;
-    std::map<bdd::Node, std::pair<std::string, ir::PredPtr>> reps_;
-    std::set<std::string> emitted_classify_;  // rendered-rule identity keys
+    // BDD root -> the group's representative predicate, with its text once
+    // a second distinct member needed ordering against it.
+    struct Rep {
+        ir::PredPtr pred;
+        std::string text;  // empty until rendered
+    };
+    std::map<bdd::Node, Rep> reps_;
+    // (device, priority, representative node, dst mac, action fields) of
+    // every predicate-matching rule emitted.
+    std::set<std::tuple<std::string, int, const ir::Pred*,
+                        std::optional<std::uint64_t>, bool, std::optional<int>,
+                        bool, std::string, std::optional<int>>>
+        emitted_classify_;
     std::map<std::pair<int, int>, std::string> tree_sigs_;
     std::map<std::tuple<int, int, int>, int> tree_tags_;
     std::set<std::pair<int, int>> emitted_trees_;

@@ -6,51 +6,87 @@
 #include <map>
 #include <set>
 #include <sstream>
+#include <string_view>
 #include <tuple>
+#include <unordered_map>
 
 #include "util/error.h"
 
 namespace merlin::codegen {
 namespace {
 
-std::string pred_text(const ir::PredPtr& p) {
-    return p ? ir::to_string(p) : std::string();
-}
+// Predicate text orders rules; it never decides their identity. A
+// Pred_text renders each distinct node once for the length of one call
+// (every node it sees must outlive it).
+class Pred_text {
+public:
+    std::string_view operator()(const ir::PredPtr& p) {
+        if (!p) return {};
+        const auto [it, inserted] = texts_.try_emplace(p.get());
+        if (inserted) it->second = ir::to_string(p);
+        return it->second;
+    }
 
-// Total order over every rule field: canonical sort key and full-equality
-// witness in one. Predicates compare by their (round-trippable) text.
-auto full_key(const Flow_rule& r) {
-    return std::tuple(r.device, r.priority, r.match_tag.has_value(),
-                      r.match_tag.value_or(0), pred_text(r.match),
-                      r.match_dst_mac.has_value(),
+private:
+    std::unordered_map<const ir::Pred*, std::string> texts_;
+};
+
+// Total order over every rule field: the canonical sort key.
+auto full_key(const Flow_rule& r, Pred_text& text) {
+    return std::tuple(std::string_view(r.device), r.priority,
+                      r.match_tag.has_value(), r.match_tag.value_or(0),
+                      text(r.match), r.match_dst_mac.has_value(),
                       r.match_dst_mac.value_or(0), r.drop,
                       r.set_tag.has_value(), r.set_tag.value_or(0),
-                      r.strip_tag, r.out_port, r.queue.has_value(),
-                      r.queue.value_or(0));
+                      r.strip_tag, std::string_view(r.out_port),
+                      r.queue.has_value(), r.queue.value_or(0));
 }
 
 // Rule identity is the match side only; two rules with equal identity but
 // different actions are one modify. The leading bool separates tag rules
 // from predicate rules, so the two populations never pair.
-auto identity_key(const Flow_rule& r) {
-    return std::tuple(r.match_tag.has_value(), r.device, r.priority,
-                      r.match_tag.value_or(0), pred_text(r.match),
+auto identity_key(const Flow_rule& r, Pred_text& text) {
+    return std::tuple(r.match_tag.has_value(), std::string_view(r.device),
+                      r.priority, r.match_tag.value_or(0), text(r.match),
                       r.match_dst_mac.has_value(),
                       r.match_dst_mac.value_or(0));
 }
 
+// A predicate as a tuple element that compares structurally: by node
+// first, then by tree (ir::equal), never by rendered text.
+struct Same_pred {
+    const ir::PredPtr* pred;
+    bool operator==(const Same_pred& other) const {
+        return ir::equal(*pred, *other.pred);
+    }
+};
+
+// Full equality without rendering: scalar fields first, then strings, then
+// the predicate.
+auto equality_key(const Flow_rule& r) {
+    return std::tuple(r.priority, r.match_tag, r.match_dst_mac, r.drop,
+                      r.set_tag, r.strip_tag, r.queue,
+                      std::string_view(r.device), std::string_view(r.out_port),
+                      Same_pred{&r.match});
+}
+
 auto queue_full_key(const Queue_config& q) {
-    return std::tuple(q.device, q.port, q.queue_id, q.min_rate.bps(),
-                      q.max_rate.has_value(),
+    return std::tuple(std::string_view(q.device), std::string_view(q.port),
+                      q.queue_id, q.min_rate.bps(), q.max_rate.has_value(),
                       q.max_rate ? q.max_rate->bps() : 0);
 }
 auto queue_identity_key(const Queue_config& q) {
-    return std::tuple(q.device, q.port, q.queue_id);
+    return std::tuple(std::string_view(q.device), std::string_view(q.port),
+                      q.queue_id);
 }
 
-auto command_key(const Host_command& c) { return std::tuple(c.host, c.command); }
+auto command_key(const Host_command& c) {
+    return std::tuple(std::string_view(c.host), std::string_view(c.command));
+}
 auto click_key(const Click_config& c) {
-    return std::tuple(c.device, c.function, c.config);
+    return std::tuple(std::string_view(c.device),
+                      std::string_view(c.function),
+                      std::string_view(c.config));
 }
 
 // Exact multiset diff for instruction kinds with no modify concept.
@@ -96,24 +132,28 @@ std::set<int> collect_tags(const Configuration& config) {
 
 // ---------------------------------------------------------- apply plumbing
 
+// The first item whose key equals `target`'s (computed once); throws
+// naming `what` when there is none.
+template <typename T, typename KeyFn>
+auto find_item(std::vector<T>& items, const T& target, KeyFn key,
+               const char* what) {
+    const auto want = key(target);
+    const auto it = std::find_if(items.begin(), items.end(),
+                                 [&](const T& x) { return key(x) == want; });
+    expects(it != items.end(), what);
+    return it;
+}
+
 template <typename T, typename KeyFn>
 void remove_item(std::vector<T>& items, const T& target, KeyFn key,
                  const char* what) {
-    const auto it = std::find_if(items.begin(), items.end(), [&](const T& x) {
-        return key(x) == key(target);
-    });
-    expects(it != items.end(), what);
-    items.erase(it);
+    items.erase(find_item(items, target, key, what));
 }
 
 template <typename T, typename KeyFn>
 void replace_item(std::vector<T>& items, const T& before, const T& after,
                   KeyFn key, const char* what) {
-    const auto it = std::find_if(items.begin(), items.end(), [&](const T& x) {
-        return key(x) == key(before);
-    });
-    expects(it != items.end(), what);
-    *it = after;
+    *find_item(items, before, key, what) = after;
 }
 
 }  // namespace
@@ -137,15 +177,16 @@ int Diff::total_operations() const {
 }
 
 bool equal(const Flow_rule& a, const Flow_rule& b) {
-    return full_key(a) == full_key(b);
+    return equality_key(a) == equality_key(b);
 }
 
 Configuration canonical(Configuration config) {
     const auto by = [](auto key) {
         return [key](const auto& a, const auto& b) { return key(a) < key(b); };
     };
+    Pred_text text;
     std::sort(config.flow_rules.begin(), config.flow_rules.end(),
-              by([](const Flow_rule& r) { return full_key(r); }));
+              by([&text](const Flow_rule& r) { return full_key(r, text); }));
     std::sort(config.queues.begin(), config.queues.end(),
               by([](const Queue_config& q) { return queue_full_key(q); }));
     std::sort(config.tc_commands.begin(), config.tc_commands.end(),
@@ -185,43 +226,46 @@ Diff diff(const Configuration& old_config, const Configuration& new_config) {
     // Flow rules: first cancel rules present identically on both sides,
     // then pair the leftovers by identity key — same identity with a new
     // action is a modify, the rest are installs/removes routed to the tag
-    // (phases 1/3) or classifier (phase 2) buckets.
-    std::map<decltype(full_key(Flow_rule{})), std::vector<Flow_rule>> pool;
+    // (phases 1/3) or classifier (phase 2) buckets. Both passes key on
+    // text order, so the diff's operation order is canonical.
+    Pred_text text;
+    std::map<decltype(full_key(Flow_rule{}, text)),
+             std::vector<const Flow_rule*>>
+        pool;
     for (const Flow_rule& r : old_config.flow_rules)
-        pool[full_key(r)].push_back(r);
-    std::vector<Flow_rule> old_left, new_left;
+        pool[full_key(r, text)].push_back(&r);
+    std::vector<const Flow_rule*> old_left, new_left;
     for (const Flow_rule& r : new_config.flow_rules) {
-        auto it = pool.find(full_key(r));
+        auto it = pool.find(full_key(r, text));
         if (it != pool.end() && !it->second.empty())
             it->second.pop_back();
         else
-            new_left.push_back(r);
+            new_left.push_back(&r);
     }
-    for (auto& [k, left] : pool)
-        for (Flow_rule& r : left) old_left.push_back(std::move(r));
+    for (const auto& [k, left] : pool)
+        old_left.insert(old_left.end(), left.begin(), left.end());
 
-    std::map<decltype(identity_key(Flow_rule{})),
-             std::pair<std::vector<Flow_rule>, std::vector<Flow_rule>>>
+    std::map<decltype(identity_key(Flow_rule{}, text)),
+             std::pair<std::vector<const Flow_rule*>,
+                       std::vector<const Flow_rule*>>>
         by_identity;
-    for (Flow_rule& r : old_left)
-        by_identity[identity_key(r)].first.push_back(std::move(r));
-    for (Flow_rule& r : new_left)
-        by_identity[identity_key(r)].second.push_back(std::move(r));
-    for (auto& [key, sides] : by_identity) {
-        auto& [olds, news] = sides;
+    for (const Flow_rule* r : old_left)
+        by_identity[identity_key(*r, text)].first.push_back(r);
+    for (const Flow_rule* r : new_left)
+        by_identity[identity_key(*r, text)].second.push_back(r);
+    for (const auto& [key, sides] : by_identity) {
+        const auto& [olds, news] = sides;
         const bool tagged = std::get<0>(key);
         const std::size_t paired = std::min(olds.size(), news.size());
-        for (std::size_t i = 0; i < paired; ++i) {
-            Rule_update u{std::move(olds[i]), std::move(news[i])};
+        for (std::size_t i = 0; i < paired; ++i)
             (tagged ? out.tag_updates : out.classifier_updates)
-                .push_back(std::move(u));
-        }
+                .push_back(Rule_update{*olds[i], *news[i]});
         for (std::size_t i = paired; i < news.size(); ++i)
             (tagged ? out.tag_installs : out.classifier_installs)
-                .push_back(std::move(news[i]));
+                .push_back(*news[i]);
         for (std::size_t i = paired; i < olds.size(); ++i)
             (tagged ? out.tag_removes : out.classifier_removes)
-                .push_back(std::move(olds[i]));
+                .push_back(*olds[i]);
     }
 
     // Queues: same identity (device, port, queue id) with new rates is a
@@ -270,7 +314,7 @@ void apply_prepare(Configuration& config, const Diff& d) {
     for (const Flow_rule& r : d.tag_installs) config.flow_rules.push_back(r);
     for (const Rule_update& u : d.tag_updates)
         replace_item(config.flow_rules, u.before, u.after,
-                     [](const Flow_rule& r) { return full_key(r); },
+                     [](const Flow_rule& r) { return equality_key(r); },
                      "diff tag update targets a rule absent from the table");
     for (const Queue_config& q : d.queue_installs) config.queues.push_back(q);
     for (const Queue_update& u : d.queue_updates)
@@ -290,12 +334,12 @@ void apply_commit(Configuration& config, const Diff& d) {
         config.flow_rules.push_back(r);
     for (const Rule_update& u : d.classifier_updates)
         replace_item(config.flow_rules, u.before, u.after,
-                     [](const Flow_rule& r) { return full_key(r); },
+                     [](const Flow_rule& r) { return equality_key(r); },
                      "diff classifier update targets a rule absent from the "
                      "table");
     for (const Flow_rule& r : d.classifier_removes)
         remove_item(config.flow_rules, r,
-                    [](const Flow_rule& x) { return full_key(x); },
+                    [](const Flow_rule& x) { return equality_key(x); },
                     "diff classifier remove targets a rule absent from the "
                     "table");
 }
@@ -303,7 +347,7 @@ void apply_commit(Configuration& config, const Diff& d) {
 void apply_cleanup(Configuration& config, const Diff& d) {
     for (const Flow_rule& r : d.tag_removes)
         remove_item(config.flow_rules, r,
-                    [](const Flow_rule& x) { return full_key(x); },
+                    [](const Flow_rule& x) { return equality_key(x); },
                     "diff tag remove targets a rule absent from the table");
     for (const Queue_config& q : d.queue_removes)
         remove_item(config.queues, q,

@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "ir/fields.h"
+#include "util/error.h"
 
 namespace merlin::ir {
 
@@ -27,6 +28,11 @@ PredPtr pred_test(const std::string& field, std::uint64_t value) {
 }
 
 PredPtr pred_payload(const std::string& needle) {
+    // The concrete syntax quotes needles without escapes, so a quote or a
+    // newline would make two different predicates print (and memoize) alike.
+    if (needle.find_first_of("\"\n") != std::string::npos)
+        throw Policy_error("payload pattern may not contain '\"' or a "
+                           "newline");
     return std::make_shared<Pred>(
         Pred{Pred_kind::payload, {}, 0, needle, nullptr, nullptr});
 }

@@ -52,6 +52,8 @@ struct Pred {
 [[nodiscard]] PredPtr pred_true();
 [[nodiscard]] PredPtr pred_false();
 [[nodiscard]] PredPtr pred_test(const std::string& field, std::uint64_t value);
+// Throws Policy_error for a needle containing '"' or a newline, which the
+// concrete syntax cannot express: predicate text must stay injective.
 [[nodiscard]] PredPtr pred_payload(const std::string& needle);
 [[nodiscard]] PredPtr pred_and(PredPtr a, PredPtr b);
 [[nodiscard]] PredPtr pred_or(PredPtr a, PredPtr b);

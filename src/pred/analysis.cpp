@@ -1,5 +1,7 @@
 #include "pred/analysis.h"
 
+#include <algorithm>
+
 #include "ir/fields.h"
 #include "util/error.h"
 
@@ -35,16 +37,30 @@ int Analyzer::payload_variable(const std::string& needle) {
 }
 
 bdd::Node Analyzer::compile(const ir::PredPtr& p) {
+    // A live entry at this address is this very node. A dead one's address
+    // may since have been reused by a new node, which falls through.
+    if (const auto known = by_node_.find(p.get());
+        known != by_node_.end() && !known->second.owner.expired()) {
+        ++compile_hits_;
+        return known->second.root;
+    }
     const std::string key = ir::to_string(p);
-    const auto it = memo_.find(key);
+    auto it = memo_.find(key);
     if (it != memo_.end()) {
         ++compile_hits_;
-        return it->second;
+    } else {
+        ++compiles_;
+        it = memo_.emplace(key, compile_fresh(p)).first;
     }
-    ++compiles_;
-    const bdd::Node out = compile_fresh(p);
-    memo_.emplace(key, out);
-    return out;
+    if (by_node_.size() >= by_node_sweep_at_) {
+        std::erase_if(by_node_, [](const auto& entry) {
+            return entry.second.owner.expired();
+        });
+        by_node_sweep_at_ =
+            std::max(kNodeMemoSweepFloor, 2 * by_node_.size());
+    }
+    by_node_.insert_or_assign(p.get(), Node_entry{p, it->second});
+    return it->second;
 }
 
 bdd::Node Analyzer::compile_fresh(const ir::PredPtr& p) {
@@ -75,6 +91,8 @@ void Analyzer::vacuum() {
     manager_ = bdd::Manager(ir::total_header_bits() +
                             static_cast<int>(payload_needles_.size()));
     memo_.clear();
+    by_node_.clear();
+    by_node_sweep_at_ = kNodeMemoSweepFloor;
     ++vacuums_;
 }
 

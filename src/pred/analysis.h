@@ -14,6 +14,7 @@
 
 #include <cstddef>
 #include <map>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -30,9 +31,10 @@ public:
 
     // Compiles a predicate; results are hash-consed, so repeated calls with
     // equivalent predicates return identical nodes. Compilation is memoized
-    // on the predicate's canonical text: each distinct predicate is compiled
+    // twice: on the predicate node's identity (a lookup, no rendering),
+    // then on its canonical text. Each distinct predicate is compiled
     // exactly once per analyzer lifetime (until vacuum()), no matter how
-    // many statements reference it.
+    // many statements reference it, and each node is rendered at most once.
     [[nodiscard]] bdd::Node compile(const ir::PredPtr& p);
 
     [[nodiscard]] bool disjoint(const ir::PredPtr& a, const ir::PredPtr& b);
@@ -61,10 +63,14 @@ public:
     [[nodiscard]] bdd::Manager& manager() { return manager_; }
 
     // Memoization counters: distinct predicates actually compiled vs. calls
-    // served from the canonical-text memo.
+    // served from either memo. memo_size() counts canonical-text entries;
+    // node_memo_size() counts identity entries, live or not yet swept.
     [[nodiscard]] long long compile_count() const { return compiles_; }
     [[nodiscard]] long long compile_hit_count() const { return compile_hits_; }
     [[nodiscard]] std::size_t memo_size() const { return memo_.size(); }
+    [[nodiscard]] std::size_t node_memo_size() const {
+        return by_node_.size();
+    }
     // Full BDD-space resets performed by vacuum().
     [[nodiscard]] long long vacuum_count() const { return vacuums_; }
     // BDD work counters, cumulative across vacuums (the manager's own
@@ -76,7 +82,7 @@ public:
         return retired_cache_hits_ + manager_.cache_hit_count();
     }
 
-    // Discards the whole BDD space (nodes, apply cache, compile memo) while
+    // Discards the whole BDD space (nodes, apply cache, both memos) while
     // keeping the variable layout — payload needles keep their variable
     // indices, so recompiled predicates mean the same thing. Every
     // bdd::Node previously returned by compile() is invalidated; callers
@@ -100,6 +106,17 @@ private:
     std::vector<std::string> payload_needles_;  // by variable order
     // Canonical predicate text -> compiled root.
     std::unordered_map<std::string, bdd::Node> memo_;
+    // Predicate node address -> compiled root. The weak owner never
+    // extends a node's lifetime; it tells a live entry from one whose node
+    // died and whose address a new node may now occupy. Dead entries are
+    // swept whenever the map doubles.
+    struct Node_entry {
+        std::weak_ptr<const ir::Pred> owner;
+        bdd::Node root = bdd::kFalse;
+    };
+    std::unordered_map<const ir::Pred*, Node_entry> by_node_;
+    std::size_t by_node_sweep_at_ = kNodeMemoSweepFloor;
+    static constexpr std::size_t kNodeMemoSweepFloor = 64;
     long long compiles_ = 0;
     long long compile_hits_ = 0;
     long long vacuums_ = 0;

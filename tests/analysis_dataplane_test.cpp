@@ -194,6 +194,67 @@ TEST(AnalysisDataplane, ForwardingLoopIsCaught) {
     EXPECT_NE(find(report, "forwarding-loop"), nullptr) << to_text(report);
 }
 
+// ------------------------------------------------------- static table checks
+
+codegen::Flow_rule header_rule(const std::string& device, int priority,
+                               const char* match, const std::string& out_port) {
+    codegen::Flow_rule r;
+    r.device = device;
+    r.priority = priority;
+    r.match = parser::parse_predicate(match);
+    r.out_port = out_port;
+    r.drop = out_port.empty();
+    return r;
+}
+
+// Neither drop rule alone covers the classifier below them; only their
+// union does. The lowest rule, which the rules above cover only in part,
+// stays quiet.
+TEST(AnalysisDataplane, RuleShadowedOnlyByUnionIsReported) {
+    codegen::Configuration config;
+    config.flow_rules = {
+        header_rule("s1", codegen::kDropPriority,
+                    "tcp.dst = 80 and payload = \"GET\"", ""),
+        header_rule("s1", codegen::kDropPriority,
+                    "tcp.dst = 80 and !(payload = \"GET\")", ""),
+        header_rule("s1", codegen::kClassifyPriority,
+                    "tcp.dst = 80 and ip.src = 10.0.0.7", "s2"),
+        header_rule("s1", codegen::kClassifyPriority - 1,
+                    "tcp.dst = 80 or tcp.dst = 443", "s3"),
+    };
+    const Report report = check_tables(config, diamond_topology());
+    ASSERT_EQ(report.size(), 1u) << to_text(report);
+    EXPECT_EQ(report[0].check, "shadowed-rule");
+    EXPECT_EQ(report[0].severity, Severity::warning);
+    EXPECT_NE(report[0].message.find("ip.src = 10.0.0.7"), std::string::npos);
+    EXPECT_EQ(report[0].witness, "ip.src=10.0.0.7 tcp.dst=80");
+}
+
+// Two equal-priority rules with different actions that overlap on part of
+// their traffic: one finding per pair, witnessed inside the overlap. A
+// disjoint pair in the same band is not ambiguous.
+TEST(AnalysisDataplane, PartiallyOverlappingEqualPriorityRulesAreAmbiguous) {
+    codegen::Configuration config;
+    config.flow_rules = {
+        header_rule("s1", codegen::kClassifyPriority,
+                    "ip.src = 10.0.0.1 or payload = \"POST\"", "s2"),
+        header_rule("s1", codegen::kClassifyPriority,
+                    "tcp.dst = 80 and !(ip.src = 10.0.0.2)", "s3"),
+        header_rule("s1", codegen::kClassifyPriority,
+                    "ip.src = 10.0.0.2 and tcp.dst = 80 and "
+                    "!(payload = \"POST\")",
+                    "m1"),
+    };
+    const Report report = check_tables(config, diamond_topology());
+    ASSERT_EQ(report.size(), 1u) << to_text(report);
+    EXPECT_EQ(report[0].check, "ambiguous-rules");
+    EXPECT_EQ(report[0].severity, Severity::error);
+    EXPECT_NE(report[0].message.find("output:s2"), std::string::npos);
+    EXPECT_NE(report[0].message.find("output:s3"), std::string::npos);
+    EXPECT_EQ(report[0].witness,
+              "ip.src=128.0.0.0 tcp.dst=80 payload=\"POST\"");
+}
+
 // ------------------------------------------------------------------ updates
 
 constexpr const char* kRerouted = R"(

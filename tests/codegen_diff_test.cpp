@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "core/addressing.h"
 #include "core/engine.h"
@@ -323,6 +324,141 @@ TEST(Diff, DedupSharesClassifyRulesAndParsesBack) {
     ASSERT_TRUE(engine.recompile());
     const Diff d = checked_update(incremental, engine);
     EXPECT_TRUE(d.empty()) << to_text(d);
+}
+
+// ------------------------------------------------------ structural identity
+
+TEST(Diff, ApplyFindsRulesByStructureNotNode) {
+    // Two compiles of one policy text give equal tables over distinct
+    // predicate nodes; a diff computed against the first must apply to the
+    // second, removing and updating its classifiers by structure.
+    constexpr const char* kBoth = R"(
+[ x : eth.src = 00:00:00:00:00:01 and eth.dst = 00:00:00:00:00:02 -> .* ;
+  y : eth.src = 00:00:00:00:00:02 and eth.dst = 00:00:00:00:00:01 -> .* ]
+)";
+    constexpr const char* kOne = R"(
+[ x : eth.src = 00:00:00:00:00:01 and eth.dst = 00:00:00:00:00:02 -> .* ]
+)";
+    const topo::Topology t = fig2_topology();
+    const auto build = [&](const char* text) {
+        const core::Compilation c = core::compile(parse_policy(text), t, {});
+        EXPECT_TRUE(c.feasible) << c.diagnostic;
+        return generate(c, t);
+    };
+    const Configuration original = build(kBoth);
+    const Configuration rebuilt = build(kBoth);
+    ASSERT_EQ(original.flow_rules.size(), rebuilt.flow_rules.size());
+    int distinct_nodes = 0;
+    for (std::size_t i = 0; i < original.flow_rules.size(); ++i) {
+        const Flow_rule& a = original.flow_rules[i];
+        const Flow_rule& b = rebuilt.flow_rules[i];
+        EXPECT_TRUE(equal(a, b)) << to_text(a);
+        if (a.match && a.match != b.match) ++distinct_nodes;
+    }
+    ASSERT_GT(distinct_nodes, 0);
+
+    const Configuration next = build(kOne);
+    const Diff d = diff(original, next);
+    ASSERT_FALSE(d.classifier_removes.empty()) << to_text(d);
+    EXPECT_TRUE(equal(apply(rebuilt, d), next));
+    EXPECT_TRUE(equal(apply(build(kOne), diff(next, original)), rebuilt));
+}
+
+TEST(Diff, RulesDifferingOnlyInPredicateNeverConflate) {
+    Flow_rule http;
+    http.device = "s1";
+    http.priority = kClassifyPriority;
+    http.match = parser::parse_predicate("tcp.dst = 80");
+    http.set_tag = 7;
+    http.out_port = "s2";
+    Flow_rule ssh = http;
+    ssh.match = parser::parse_predicate("tcp.dst = 22");
+    Flow_rule ssh_reparsed = ssh;
+    ssh_reparsed.match = parser::parse_predicate("tcp.dst = 22");
+    Flow_rule telnet = http;
+    telnet.match = parser::parse_predicate("tcp.dst = 23");
+    EXPECT_FALSE(equal(http, ssh));
+    EXPECT_TRUE(equal(ssh, ssh_reparsed));
+
+    Configuration config;
+    config.flow_rules = {http, ssh};
+
+    // Updates and removals pick the structurally equal rule, wherever it
+    // sits, and leave its predicate-only sibling alone.
+    Flow_rule ssh_moved = ssh;
+    ssh_moved.out_port = "m1";
+    Diff update;
+    update.classifier_updates = {Rule_update{ssh_reparsed, ssh_moved}};
+    Configuration updated = config;
+    apply_commit(updated, update);
+    ASSERT_EQ(updated.flow_rules.size(), 2u);
+    EXPECT_TRUE(equal(updated.flow_rules[0], http));
+    EXPECT_TRUE(equal(updated.flow_rules[1], ssh_moved));
+
+    Diff remove;
+    remove.classifier_removes = {ssh_reparsed};
+    Configuration removed = config;
+    apply_commit(removed, remove);
+    ASSERT_EQ(removed.flow_rules.size(), 1u);
+    EXPECT_TRUE(equal(removed.flow_rules[0], http));
+
+    Diff absent;
+    absent.classifier_removes = {telnet};
+    Configuration untouched = config;
+    EXPECT_THROW(apply_commit(untouched, absent), Error);
+
+    // A predicate-only change is a remove plus an install, never a cancel.
+    Configuration swapped;
+    swapped.flow_rules = {http, telnet};
+    const Diff d = diff(config, swapped);
+    ASSERT_EQ(d.classifier_installs.size(), 1u) << to_text(d);
+    ASSERT_EQ(d.classifier_removes.size(), 1u) << to_text(d);
+    EXPECT_TRUE(d.classifier_updates.empty());
+    EXPECT_TRUE(equal(d.classifier_installs[0], telnet));
+    EXPECT_TRUE(equal(d.classifier_removes[0], ssh));
+}
+
+TEST(Diff, TenantAddRemoveCycleAppliesExactly) {
+    // 12 -> 14 -> 12 tenants on the k=4 fat tree. Each structural delta
+    // rewrites the catch-all statement, so every diff swaps its
+    // classifiers while the other rules keep their predicate nodes.
+    const topo::Topology t = topo::fat_tree(4);
+    const core::Addressing addressing(t);
+    const std::vector<topo::NodeId> hosts = t.hosts();
+    ASSERT_EQ(hosts.size(), 16u);
+    const auto tenant = [&](int n) {
+        ir::Statement s;
+        s.id = "t" + std::to_string(n);
+        s.predicate = ir::pred_and(
+            addressing.pair_predicate(
+                hosts[static_cast<std::size_t>(n % 16)],
+                hosts[static_cast<std::size_t>((n * 5 + 3) % 16)]),
+            ir::pred_test("tcp.dst", static_cast<std::uint64_t>(8000 + n)));
+        s.path = ir::path_any_star();
+        return s;
+    };
+    ir::Policy policy;
+    for (int n = 0; n < 12; ++n) policy.statements.push_back(tenant(n));
+    core::Engine engine(policy, t);
+    ASSERT_TRUE(engine.current().feasible);
+    Incremental incremental;
+    (void)incremental.update(engine.current(), engine.topology());
+    const std::string start =
+        keyed_text(incremental.config(), incremental.naming());
+
+    for (int n = 12; n < 14; ++n) {
+        ASSERT_TRUE(engine.add_statement(
+            tenant(n), n == 12 ? mb_per_sec(10) : Bandwidth{}));
+        const Diff d = checked_update(incremental, engine);
+        EXPECT_FALSE(d.classifier_removes.empty()) << to_text(d);
+        EXPECT_FALSE(d.classifier_installs.empty()) << to_text(d);
+    }
+    for (int n = 12; n < 14; ++n) {
+        ASSERT_TRUE(engine.remove_statement("t" + std::to_string(n)));
+        const Diff d = checked_update(incremental, engine);
+        EXPECT_FALSE(d.classifier_removes.empty()) << to_text(d);
+    }
+    EXPECT_EQ(keyed_text(incremental.config(), incremental.naming()), start);
 }
 
 TEST(Naming, LongChurnKeepsTagHighWaterBounded) {

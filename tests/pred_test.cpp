@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "ir/fields.h"
 #include "parser/parser.h"
 #include "pred/packet.h"
@@ -118,6 +120,90 @@ TEST(Pred, CompileMemoServesRepeatedPredicates) {
     EXPECT_EQ(a.compile_count(), compiled);
     EXPECT_GE(a.compile_hit_count(), 1);
     EXPECT_EQ(a.memo_size(), static_cast<std::size_t>(compiled));
+}
+
+TEST(Pred, PayloadNeedlesKeepPredicateTextInjective) {
+    // Unescaped, this needle printed exactly like the disjunction below,
+    // so the text memo of a fresh analyzer called the two equivalent while
+    // ir::equal told them apart. The concrete syntax cannot express a quote
+    // or a newline inside a needle, so neither may the IR.
+    EXPECT_THROW((void)ir::pred_payload("a\" or payload = \"b"),
+                 Policy_error);
+    EXPECT_THROW((void)ir::pred_payload("a\nb"), Policy_error);
+    const auto either =
+        ir::pred_or(ir::pred_payload("a"), ir::pred_payload("b"));
+    EXPECT_EQ(ir::to_string(either), "payload = \"a\" or payload = \"b\"");
+    EXPECT_TRUE(ir::equal(parse_predicate(ir::to_string(either)), either));
+}
+
+TEST(Pred, CompileMemoDoesNotOwnItsNodes) {
+    Analyzer a;
+    const auto p = parse_predicate("tcp.dst = 80 and ip.proto = tcp");
+    const long owners = p.use_count();
+    const bdd::Node root = a.compile(p);
+    EXPECT_EQ(p.use_count(), owners);
+    const long long hits = a.compile_hit_count();
+    EXPECT_EQ(a.compile(p), root);  // served by node identity
+    EXPECT_EQ(a.compile_hit_count(), hits + 1);
+    EXPECT_EQ(p.use_count(), owners);
+}
+
+TEST(Pred, CompileMemoSurvivesAddressReuse) {
+    // Each round's predicate dies before the next is allocated, so new
+    // nodes land on addresses the memo has seen. Nodes allocated apart from
+    // their control block free their storage while the memo's weak entry
+    // still names the address; make_shared nodes are freed by the memo's
+    // sweep. Either way every root must mean its own node.
+    Analyzer a;
+    Rng rng(404);
+    std::set<const ir::Pred*> addresses;
+    int reused = 0;
+    for (int round = 0; round < 3000; ++round) {
+        const auto port = static_cast<std::uint64_t>(rng.uniform(79, 82));
+        const ir::PredPtr p =
+            round % 2 == 0
+                ? ir::PredPtr(new ir::Pred{ir::Pred_kind::test, "tcp.dst",
+                                           port, {}, nullptr, nullptr})
+                : ir::pred_and(ir::pred_test("tcp.dst", port),
+                               ir::pred_test("ip.proto", port % 2 ? 6 : 17));
+        if (!addresses.insert(p.get()).second) ++reused;
+        const bdd::Node root = a.compile(p);
+        Analyzer fresh;
+        for (const ir::PredPtr& probe : {p, ir::pred_not(p)}) {
+            if (!fresh.satisfiable(probe)) continue;
+            const Packet w = fresh.witness(probe);
+            EXPECT_EQ(a.manager().evaluate(root, a.bits_of(w)),
+                      fresh.manager().evaluate(fresh.compile(p),
+                                               fresh.bits_of(w)))
+                << "round " << round << ": " << ir::to_string(p);
+            EXPECT_EQ(a.manager().evaluate(root, a.bits_of(w)), matches(p, w))
+                << "round " << round << ": " << ir::to_string(p);
+        }
+    }
+    // AddressSanitizer quarantines freed blocks, so only a plain build is
+    // sure to hand addresses back.
+#if !defined(__SANITIZE_ADDRESS__)
+    EXPECT_GT(reused, 0);
+#endif
+    // The sweep keeps dead entries from piling up.
+    EXPECT_LT(a.node_memo_size(), 3000u);
+}
+
+TEST(Pred, VacuumClearsBothCompileMemos) {
+    Analyzer a;
+    const auto p = parse_predicate("tcp.dst = 80");
+    const auto same_text = parse_predicate("tcp.dst = 80");
+    (void)a.compile(p);
+    (void)a.compile(same_text);
+    EXPECT_EQ(a.compile_count(), 1);
+    EXPECT_EQ(a.memo_size(), 1u);       // one canonical text
+    EXPECT_EQ(a.node_memo_size(), 2u);  // two distinct nodes
+    a.vacuum();
+    EXPECT_EQ(a.memo_size(), 0u);
+    EXPECT_EQ(a.node_memo_size(), 0u);
+    (void)a.compile(p);  // recompiled in the fresh space, not served stale
+    EXPECT_EQ(a.compile_count(), 2);
+    EXPECT_EQ(a.memo_size(), 1u);
 }
 
 TEST(Pred, PayloadAtomsAreUninterpreted) {

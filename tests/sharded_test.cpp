@@ -91,8 +91,9 @@ TEST(Sharded, DeterministicAcrossThreadCounts) {
         EXPECT_EQ(one.plans[i].statement.id, eight.plans[i].statement.id);
         ASSERT_EQ(one.plans[i].path.has_value(),
                   eight.plans[i].path.has_value());
-        if (one.plans[i].path)
+        if (one.plans[i].path) {
             EXPECT_EQ(one.plans[i].path->links, eight.plans[i].path->links);
+        }
     }
 
     // Generated code: byte-identical device configurations.

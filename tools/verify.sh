@@ -49,7 +49,12 @@
 #     latency percentiles archived at BENCH_daemon.json, followed by a
 #     200-iteration fixed-seed fault-injection fuzz run (crashes, solver
 #     timeouts, stream corruption/duplication/reordering) with the
-#     snapshot-atomicity oracle alongside the full cross-layer set.
+#     snapshot-atomicity oracle alongside the full cross-layer set;
+#   - a perfbench leg: the end-to-end benchmark's self-test, then a short
+#     untraced run of every workload (retune, churn, compile), so the probe
+#     oracle, the expected refusal codes, snapshot integrity and the
+#     batch-equivalence check run on every verify; any failed output check
+#     exits non-zero.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -166,5 +171,14 @@ if ! ./build-release/merlin-fuzz --iters 200 --seed 1 --daemon-faults 4 \
     echo "replay with: ./build-release/merlin-fuzz --replay $FUZZ_REPRO" >&2
     exit 1
 fi
+
+# --- perfbench leg: the end-to-end benchmark's output checks ---------------
+# run.py builds perfbench/ into .bench_build/ (Release) on first use and
+# exits 1 when any output check of the run failed.
+python3 perfbench/tests/test_perfbench.py
+for workload in retune churn compile; do
+    python3 perfbench/run.py --workload "$workload" --seconds 5 --trace 0 \
+        > /dev/null
+done
 
 echo "verify.sh: OK"
