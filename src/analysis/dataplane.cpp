@@ -494,39 +494,25 @@ std::vector<Class_check> check_lifted(const core::Compilation& compilation,
     return classes;
 }
 
-}  // namespace
-
-// ----------------------------------------------------------------- entries
-
-Report check_tables(const codegen::Configuration& config,
-                    const topo::Topology& topo) {
-    (void)topo;
-    Report report;
-    pred::Analyzer analyzer;
-    check_device_tables(Lifted(config), analyzer, report);
-    return report;
-}
-
-Report check_dataplane(const core::Compilation& compilation,
+// check_dataplane and check_update, proved in the caller's predicate space.
+Report prove_dataplane(const core::Compilation& compilation,
                        const codegen::Configuration& config,
-                       const topo::Topology& topo) {
+                       const topo::Topology& topo, pred::Analyzer& analyzer) {
     Report report;
-    pred::Analyzer analyzer;
     (void)check_lifted(compilation, Lifted(config), topo, analyzer, report);
     return report;
 }
 
-Report check_update(const core::Compilation& old_comp,
+Report prove_update(const core::Compilation& old_comp,
                     const core::Compilation& new_comp,
                     const codegen::Configuration& old_config,
                     const codegen::Diff& diff,
                     const codegen::Configuration& new_config,
-                    const topo::Topology& topo) {
+                    const topo::Topology& topo, pred::Analyzer& analyzer) {
     // The post-update table is proved in full first (as check_dataplane);
     // its lifted form, analyzer and class selection then serve the phase
     // replays.
     Report report;
-    pred::Analyzer analyzer;
     bdd::Manager& mgr = analyzer.manager();
     codegen::Configuration prepared = old_config;
     codegen::apply_prepare(prepared, diff);
@@ -596,16 +582,49 @@ Report check_update(const core::Compilation& old_comp,
     return report;
 }
 
+}  // namespace
+
+// ----------------------------------------------------------------- entries
+
+Report check_tables(const codegen::Configuration& config,
+                    const topo::Topology& topo) {
+    (void)topo;
+    Report report;
+    pred::Analyzer analyzer;
+    check_device_tables(Lifted(config), analyzer, report);
+    return report;
+}
+
+Report check_dataplane(const core::Compilation& compilation,
+                       const codegen::Configuration& config,
+                       const topo::Topology& topo) {
+    pred::Analyzer analyzer;
+    return prove_dataplane(compilation, config, topo, analyzer);
+}
+
+Report check_update(const core::Compilation& old_comp,
+                    const core::Compilation& new_comp,
+                    const codegen::Configuration& old_config,
+                    const codegen::Diff& diff,
+                    const codegen::Configuration& new_config,
+                    const topo::Topology& topo) {
+    pred::Analyzer analyzer;
+    return prove_update(old_comp, new_comp, old_config, diff, new_config,
+                        topo, analyzer);
+}
+
 Report Update_checker::step(const core::Compilation& compilation,
                             const topo::Topology& topo,
                             bool check_transition) {
+    // Codegen begins the generation; its proof shares the predicate space.
     const codegen::Diff diff = incremental_.update(compilation, topo);
     const codegen::Configuration& config = incremental_.config();
+    pred::Analyzer& analyzer = incremental_.analyzer();
     Report report =
         seeded_ && check_transition
-            ? check_update(previous_, compilation, previous_config_, diff,
-                           config, topo)
-            : check_dataplane(compilation, config, topo);
+            ? prove_update(previous_, compilation, previous_config_, diff,
+                           config, topo, analyzer)
+            : prove_dataplane(compilation, config, topo, analyzer);
     previous_ = compilation;
     previous_config_ = config;
     seeded_ = true;

@@ -76,7 +76,12 @@ namespace merlin::analysis {
 // Engine-hook adapter: feed each published Compilation (e.g. from
 // core::Engine::on_publish) and every generation is verified — the first
 // with check_dataplane, each subsequent one as a two-phase update from its
-// predecessor through a persistent codegen::Incremental.
+// predecessor through a persistent codegen::Incremental. Each generation
+// is proved in that Incremental's predicate space, kept across
+// generations, where check_update and check_dataplane build a fresh one
+// per call; the reports are the same, except that a payload witness may
+// name a different, equally valid needle (needle variables are numbered
+// in the order the space first met them).
 class Update_checker {
 public:
     // The report for this generation (empty when everything proves out).
@@ -89,6 +94,10 @@ public:
 
     [[nodiscard]] const codegen::Configuration& config() const {
         return incremental_.config();
+    }
+    // The generator and predicate space behind config().
+    [[nodiscard]] const codegen::Incremental& incremental() const {
+        return incremental_;
     }
 
 private:

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <unordered_map>
 
 #include "util/error.h"
 
@@ -12,22 +13,15 @@ namespace {
 // Terminals sort after every real variable.
 constexpr int kTerminalVar = std::numeric_limits<int>::max();
 
-std::uint64_t unique_key(int var, Node low, Node high) {
-    // Nodes stay comfortably below 2^24 in our workloads, but use a mixing
-    // scheme that stays injective up to 2^27 nodes and 2^10 variables.
-    return (static_cast<std::uint64_t>(var) << 54) ^
-           (static_cast<std::uint64_t>(low) << 27) ^
-           static_cast<std::uint64_t>(high);
-}
-
-std::uint64_t cache_key(std::uint8_t op, Node a, Node b) {
-    return (static_cast<std::uint64_t>(op) << 56) ^
-           (static_cast<std::uint64_t>(a) << 28) ^ static_cast<std::uint64_t>(b);
-}
+constexpr std::size_t kInitialUniqueSlots = std::size_t{1} << 10;
 
 }  // namespace
 
-Manager::Manager(int variable_count) : variable_count_(variable_count) {
+Manager::Manager(int variable_count)
+    : variable_count_(variable_count),
+      unique_(kInitialUniqueSlots, kFalse),
+      cache_(std::min(kCacheSlotCap,
+                      kCacheSlotsPerUniqueSlot * kInitialUniqueSlots)) {
     expects(variable_count >= 0, "BDD variable count must be non-negative");
     nodes_.push_back(Node_data{kTerminalVar, kFalse, kFalse});  // kFalse
     nodes_.push_back(Node_data{kTerminalVar, kTrue, kTrue});    // kTrue
@@ -35,14 +29,44 @@ Manager::Manager(int variable_count) : variable_count_(variable_count) {
 
 int Manager::add_variable() { return variable_count_++; }
 
+std::size_t Manager::unique_slot(int var, Node low, Node high) const {
+    return hash_triple(static_cast<std::uint32_t>(var), low, high) &
+           (unique_.size() - 1);
+}
+
+Manager::Cache_entry& Manager::cache_entry(Node key, Node b) {
+    return cache_[hash_triple(key, b, 0) & (cache_.size() - 1)];
+}
+
+void Manager::grow() {
+    unique_.assign(2 * unique_.size(), kFalse);
+    const std::size_t mask = unique_.size() - 1;
+    for (std::size_t id = 2; id < nodes_.size(); ++id) {
+        const Node_data& nd = nodes_[id];
+        std::size_t slot = unique_slot(nd.var, nd.low, nd.high);
+        while (unique_[slot] != kFalse) slot = (slot + 1) & mask;
+        unique_[slot] = static_cast<Node>(id);
+    }
+    // A larger cache starts empty: entries are only a memo.
+    const std::size_t slots =
+        std::min(kCacheSlotCap, kCacheSlotsPerUniqueSlot * unique_.size());
+    if (slots > cache_.size()) cache_.assign(slots, Cache_entry{});
+}
+
 Node Manager::make(int var, Node low, Node high) {
     if (low == high) return low;  // reduction rule
-    const std::uint64_t key = unique_key(var, low, high);
-    const auto it = unique_.find(key);
-    if (it != unique_.end()) return it->second;
+    const std::size_t mask = unique_.size() - 1;
+    std::size_t slot = unique_slot(var, low, high);
+    for (; unique_[slot] != kFalse; slot = (slot + 1) & mask) {
+        const Node_data& nd = nodes_[static_cast<std::size_t>(unique_[slot])];
+        if (nd.var == var && nd.low == low && nd.high == high)
+            return unique_[slot];
+    }
+    expects(nodes_.size() < kMaxNodes, "BDD node space exhausted");
     const Node id = static_cast<Node>(nodes_.size());
     nodes_.push_back(Node_data{var, low, high});
-    unique_.emplace(key, id);
+    unique_[slot] = id;
+    if (2 * nodes_.size() > unique_.size()) grow();
     return id;
 }
 
@@ -56,12 +80,17 @@ Node Manager::nvar(int v) {
     return make(v, kTrue, kFalse);
 }
 
-void Manager::sweep_cache_if_oversized() {
-    const std::size_t limit =
-        std::max(kCacheFloor, kCacheNodeFactor * nodes_.size());
-    if (cache_.size() < limit) return;
-    cache_.clear();
-    ++cache_sweeps_;
+Node Manager::cube(int first, int width, std::uint64_t value) {
+    expects(width >= 0 && width <= 64, "BDD cube width out of range");
+    expects(first >= 0 && width <= variable_count_ - first,
+            "BDD cube variables out of range");
+    Node acc = kTrue;
+    for (int shift = 0; shift < width; ++shift) {
+        const int v = first + width - 1 - shift;
+        acc = ((value >> shift) & 1) != 0 ? make(v, kFalse, acc)
+                                          : make(v, acc, kFalse);
+    }
+    return acc;
 }
 
 Node Manager::apply(Op op, Node a, Node b) {
@@ -90,15 +119,16 @@ Node Manager::apply(Op op, Node a, Node b) {
     }
     // Commutative ops: canonicalize the argument order for the cache.
     if (a > b) std::swap(a, b);
-    const std::uint64_t key = cache_key(static_cast<std::uint8_t>(op), a, b);
-    const auto it = cache_.find(key);
-    if (it != cache_.end()) {
+    const Node key = cache_key(op, a);
+    if (const Cache_entry& e = cache_entry(key, b); e.key == key && e.b == b) {
         ++cache_hits_;
-        return it->second;
+        return e.result;
     }
 
-    const Node_data& na = nodes_[static_cast<std::size_t>(a)];
-    const Node_data& nb = nodes_[static_cast<std::size_t>(b)];
+    // Copies, not references: the recursive applies can grow nodes_ and
+    // reallocate it out from under a reference.
+    const Node_data na = nodes_[static_cast<std::size_t>(a)];
+    const Node_data nb = nodes_[static_cast<std::size_t>(b)];
     const int split = na.var < nb.var ? na.var : nb.var;
     const Node a_low = na.var == split ? na.low : a;
     const Node a_high = na.var == split ? na.high : a;
@@ -108,8 +138,8 @@ Node Manager::apply(Op op, Node a, Node b) {
     const Node low = apply(op, a_low, b_low);
     const Node high = apply(op, a_high, b_high);
     const Node out = make(split, low, high);
-    sweep_cache_if_oversized();
-    cache_.emplace(key, out);
+    // Re-indexed after the recursion, which may have grown the cache.
+    cache_entry(key, b) = Cache_entry{key, b, out};
     return out;
 }
 
@@ -123,19 +153,17 @@ Node Manager::negate(Node a) {
     ++apply_calls_;
     // not(a) = a xor true, but terminal handling above would recurse; use a
     // dedicated cached traversal keyed as xor with kTrue.
-    const std::uint64_t key =
-        cache_key(static_cast<std::uint8_t>(Op::xor_), a, kTrue);
-    const auto it = cache_.find(key);
-    if (it != cache_.end()) {
+    const Node key = cache_key(Op::xor_, a);
+    if (const Cache_entry& e = cache_entry(key, kTrue);
+        e.key == key && e.b == kTrue) {
         ++cache_hits_;
-        return it->second;
+        return e.result;
     }
     // Copy, not reference: the recursive negate calls can grow nodes_ and
     // reallocate it out from under a reference.
     const Node_data na = nodes_[static_cast<std::size_t>(a)];
     const Node out = make(na.var, negate(na.low), negate(na.high));
-    sweep_cache_if_oversized();
-    cache_.emplace(key, out);
+    cache_entry(key, kTrue) = Cache_entry{key, kTrue, out};
     return out;
 }
 

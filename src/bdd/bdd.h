@@ -12,8 +12,8 @@
 // root.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 namespace merlin::bdd {
@@ -22,6 +22,16 @@ using Node = std::uint32_t;
 
 inline constexpr Node kFalse = 0;
 inline constexpr Node kTrue = 1;
+
+// Mixes three words into a hash, which the open-addressed tables here and
+// pred::Classifier's unique table index with a power-of-two mask.
+[[nodiscard]] inline std::size_t hash_triple(std::uint64_t x, std::uint64_t y,
+                                             std::uint64_t z) {
+    std::uint64_t h = x * 0x9E3779B97F4A7C15ULL ^ y * 0xC2B2AE3D27D4EB4FULL ^
+                      z * 0x165667B19E3779F9ULL;
+    h ^= h >> 32;
+    return static_cast<std::size_t>(h);
+}
 
 class Manager {
 public:
@@ -34,6 +44,12 @@ public:
     // The function "variable v" / "not variable v".
     [[nodiscard]] Node var(int v);
     [[nodiscard]] Node nvar(int v);
+
+    // The conjunction of literals fixing variables first .. first+width-1
+    // to the bits of `value`, most significant bit on `first` (a
+    // field-equality test). Built bottom-up, one unique-table lookup per
+    // bit, where an apply_and chain walks the partial cube at every step.
+    [[nodiscard]] Node cube(int first, int width, std::uint64_t value);
 
     [[nodiscard]] Node apply_and(Node a, Node b);
     [[nodiscard]] Node apply_or(Node a, Node b);
@@ -83,16 +99,16 @@ public:
     // Work counters: apply/negate traversal steps and memo-cache hits.
     [[nodiscard]] long long apply_count() const { return apply_calls_; }
     [[nodiscard]] long long cache_hit_count() const { return cache_hits_; }
-    // Times the memo cache hit its bound and was swept (see below).
-    [[nodiscard]] long long cache_sweeps() const { return cache_sweeps_; }
 
-    // The apply memo cache is bounded: whenever it grows past
-    // `kCacheNodeFactor * node_count()` entries (at least kCacheFloor) it is
-    // cleared. The cache is a pure memo — sweeping it never changes results,
-    // it only bounds the manager's footprint to O(live nodes) instead of
-    // O(total work), which is what keeps a long-running daemon flat.
-    static constexpr std::size_t kCacheFloor = 1 << 16;
-    static constexpr std::size_t kCacheNodeFactor = 8;
+    // The apply memo is a direct-mapped, lossy computed cache: each
+    // (op, a, b) has one slot and a colliding entry overwrites it. The
+    // cache is a pure memo — losing an entry never changes a result, it
+    // only costs a recomputation. It keeps kCacheSlotsPerUniqueSlot slots
+    // per unique-table slot, up to kCacheSlotCap, so the manager's
+    // footprint is O(live nodes) plus a constant, not O(total work).
+    static constexpr std::size_t kCacheSlotCap = std::size_t{1} << 14;
+    static constexpr std::size_t kCacheSlotsPerUniqueSlot = 4;
+    [[nodiscard]] std::size_t cache_slots() const { return cache_.size(); }
 
 private:
     struct Node_data {
@@ -103,23 +119,41 @@ private:
 
     enum class Op : std::uint8_t { and_, or_, xor_ };
 
+    // Node ids stay below 2^30, so a cache key carries the op in the top
+    // two bits of its first operand and an entry packs into 12 bytes.
+    static constexpr std::size_t kMaxNodes = std::size_t{1} << 30;
+
+    // One computed-cache slot. Operands are never terminals (the apply
+    // short-cuts answer those), so key == kFalse marks an empty slot.
+    struct Cache_entry {
+        Node key = kFalse;  // first operand | op << 30
+        Node b = kFalse;
+        Node result = kFalse;
+    };
+
     [[nodiscard]] Node make(int var, Node low, Node high);
     [[nodiscard]] Node apply(Op op, Node a, Node b);
     [[nodiscard]] int var_of(Node n) const {
         return nodes_[static_cast<std::size_t>(n)].var;
     }
-
-    void sweep_cache_if_oversized();
+    [[nodiscard]] std::size_t unique_slot(int var, Node low, Node high) const;
+    [[nodiscard]] static Node cache_key(Op op, Node a) {
+        return a | static_cast<Node>(op) << 30;
+    }
+    [[nodiscard]] Cache_entry& cache_entry(Node key, Node b);
+    // Doubles the unique table (rehashing every node) and grows the cache
+    // along with it, up to kCacheSlotCap.
+    void grow();
 
     int variable_count_;
     std::vector<Node_data> nodes_;
-    // Unique table: (var, low, high) -> node.
-    std::unordered_map<std::uint64_t, Node> unique_;
-    // Memo cache: (op, a, b) -> result. Bounded; see kCacheNodeFactor.
-    std::unordered_map<std::uint64_t, Node> cache_;
+    // Unique table: open addressing with linear probing over node ids,
+    // comparing the full (var, low, high) of nodes_; kFalse (never stored)
+    // marks an empty slot. Load stays at most 1/2.
+    std::vector<Node> unique_;
+    std::vector<Cache_entry> cache_;
     long long apply_calls_ = 0;
     long long cache_hits_ = 0;
-    long long cache_sweeps_ = 0;
 };
 
 }  // namespace merlin::bdd

@@ -49,8 +49,9 @@ std::string render_match(const ir::PredPtr& p) {
 
 class Generator {
 public:
-    Generator(const core::Compilation& c, const topo::Topology& t, Naming& n)
-        : comp_(c), topo_(t), naming_(n) {
+    Generator(const core::Compilation& c, const topo::Topology& t, Naming& n,
+              pred::Analyzer& a)
+        : comp_(c), topo_(t), naming_(n), analyzer_(a) {
         // The canonical text of each best-effort path class, used in tree
         // tag identity keys. Stable across compiles: the engine interns
         // classes by path expression, and to_string round-trips the parse.
@@ -501,8 +502,8 @@ private:
     const core::Compilation& comp_;
     const topo::Topology& topo_;
     Naming& naming_;
+    pred::Analyzer& analyzer_;
     Configuration out_;
-    pred::Analyzer analyzer_;
 
     std::vector<std::string> class_text_;  // path class -> expression text
     // BDD root -> the group's representative predicate, with its text once
@@ -647,13 +648,20 @@ void validate(const Configuration& config) {
 }
 
 Configuration generate(const core::Compilation& compilation,
-                       const topo::Topology& topo, Naming& naming) {
+                       const topo::Topology& topo, Naming& naming,
+                       pred::Analyzer& analyzer) {
     if (!compilation.feasible)
         throw Policy_error("cannot generate code for infeasible policy: " +
                            compilation.diagnostic);
-    Configuration out = Generator(compilation, topo, naming).run();
+    Configuration out = Generator(compilation, topo, naming, analyzer).run();
     validate(out);
     return out;
+}
+
+Configuration generate(const core::Compilation& compilation,
+                       const topo::Topology& topo, Naming& naming) {
+    pred::Analyzer analyzer;
+    return generate(compilation, topo, naming, analyzer);
 }
 
 Configuration generate(const core::Compilation& compilation,

@@ -27,6 +27,7 @@
 #include "core/compiler.h"
 #include "interp/interp.h"
 #include "ir/ast.h"
+#include "pred/analysis.h"
 #include "topo/topology.h"
 #include "util/units.h"
 
@@ -167,12 +168,18 @@ private:
 // Throws Policy_error when called on an infeasible compilation. The
 // Naming overload binds tags/class ids through the caller's allocator so
 // successive generations produce diff-minimal tables; the two-argument
-// form uses a scratch allocator (deterministic batch output).
+// form uses a scratch allocator (deterministic batch output). Both group
+// predicates in a per-call predicate space; the four-argument form
+// compiles through the caller's, which may be kept across generations
+// (codegen::Incremental's) — the output does not depend on it.
 [[nodiscard]] Configuration generate(const core::Compilation& compilation,
                                      const topo::Topology& topo);
 [[nodiscard]] Configuration generate(const core::Compilation& compilation,
                                      const topo::Topology& topo,
                                      Naming& naming);
+[[nodiscard]] Configuration generate(const core::Compilation& compilation,
+                                     const topo::Topology& topo,
+                                     Naming& naming, pred::Analyzer& analyzer);
 
 // Checks the table invariants diff application relies on: every tag is
 // within the usable VLAN range, and on every device the lowest-priority

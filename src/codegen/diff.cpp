@@ -540,7 +540,8 @@ Diff Incremental::update(const core::Compilation& compilation,
         throw Policy_error("cannot diff an infeasible compilation: " +
                            compilation.diagnostic);
     naming_.begin_generation();
-    Configuration next = generate(compilation, topo, naming_);
+    analyzer_.begin_generation();
+    Configuration next = generate(compilation, topo, naming_, analyzer_);
     std::vector<int> swept = naming_.collect_unused();
     Diff d = diff(config_, next);
     // The allocator sweep must cover the config-derived lifecycle: a tag

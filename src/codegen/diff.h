@@ -108,16 +108,25 @@ void apply_cleanup(Configuration& config, const Diff& d);
 // install on the first call). Unused names are swept after every update,
 // so tags recycle through the free list instead of leaking — the sweep is
 // cross-checked against the config-derived retired set.
+//
+// Every update() compiles predicates in one predicate space kept across
+// generations, so a predicate that survives a delta is not recompiled;
+// each update() begins a generation of it (pred::Analyzer's vacuum rule
+// bounds its memory). analysis::Update_checker proves each generation in
+// the same space. Copies copy the space and evolve independently.
 class Incremental {
 public:
     Diff update(const core::Compilation& compilation,
                 const topo::Topology& topo);
     [[nodiscard]] const Configuration& config() const { return config_; }
     [[nodiscard]] const Naming& naming() const { return naming_; }
+    [[nodiscard]] pred::Analyzer& analyzer() { return analyzer_; }
+    [[nodiscard]] const pred::Analyzer& analyzer() const { return analyzer_; }
 
 private:
     Naming naming_;
     Configuration config_;
+    pred::Analyzer analyzer_;
 };
 
 }  // namespace merlin::codegen

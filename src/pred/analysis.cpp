@@ -13,18 +13,8 @@ bdd::Node Analyzer::field_equals(const std::string& field,
                                  std::uint64_t value) {
     const auto f = ir::find_field(field);
     if (!f) throw Policy_error("unknown field in predicate: " + field);
-    // Conjunction of bit literals, built from the last variable upward so the
-    // intermediate BDDs stay linear.
-    bdd::Node acc = bdd::kTrue;
-    for (int bit = 0; bit < f->width; ++bit) {
-        // Variable order: most significant bit first within the field.
-        const int var = f->bit_offset + bit;
-        const int shift = f->width - 1 - bit;
-        const bool set = ((value >> shift) & 1) != 0;
-        const bdd::Node lit = set ? manager_.var(var) : manager_.nvar(var);
-        acc = manager_.apply_and(acc, lit);
-    }
-    return acc;
+    // Variable order: most significant bit first within the field.
+    return manager_.cube(f->bit_offset, f->width, value);
 }
 
 int Analyzer::payload_variable(const std::string& needle) {
@@ -93,6 +83,8 @@ void Analyzer::vacuum() {
     memo_.clear();
     by_node_.clear();
     by_node_sweep_at_ = kNodeMemoSweepFloor;
+    generations_ = 0;
+    settled_nodes_ = 0;
     ++vacuums_;
 }
 
@@ -100,6 +92,23 @@ bool Analyzer::vacuum_if_above(std::size_t node_limit) {
     if (manager_.node_count() <= node_limit) return false;
     vacuum();
     return true;
+}
+
+std::size_t Analyzer::generation_vacuum_limit() const {
+    // The first generation after a vacuum has finished once the next one
+    // begins; its node count is then the current one.
+    const std::size_t settled =
+        generations_ == 1 ? manager_.node_count() : settled_nodes_;
+    return std::max(kGenerationVacuumFloor, 2 * settled);
+}
+
+void Analyzer::begin_generation() {
+    const std::size_t limit = generation_vacuum_limit();
+    if (generations_ == 1) settled_nodes_ = manager_.node_count();
+    generations_ = std::min(generations_ + 1, 2);
+    if (manager_.node_count() <= limit) return;
+    vacuum();
+    generations_ = 1;  // this generation is the first in the fresh space
 }
 
 bool Analyzer::disjoint(const ir::PredPtr& a, const ir::PredPtr& b) {

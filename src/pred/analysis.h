@@ -61,6 +61,7 @@ public:
     [[nodiscard]] std::vector<bool> bits_of(const Packet& packet) const;
 
     [[nodiscard]] bdd::Manager& manager() { return manager_; }
+    [[nodiscard]] const bdd::Manager& manager() const { return manager_; }
 
     // Memoization counters: distinct predicates actually compiled vs. calls
     // served from either memo. memo_size() counts canonical-text entries;
@@ -95,6 +96,20 @@ public:
     // vacuum() iff node_count() exceeds `node_limit`; returns true if run.
     bool vacuum_if_above(std::size_t node_limit);
 
+    // The vacuum rule of a space kept across the generations of an update
+    // stream (codegen::Incremental's), with no fixed node limit to tune.
+    // Call begin_generation() at the start of each generation, when no
+    // bdd::Node is held. The space vacuums once its node count exceeds
+    // generation_vacuum_limit(): twice the count it had when the first
+    // generation after its previous vacuum finished, and at least
+    // kGenerationVacuumFloor. A stream whose live predicates stay put never
+    // vacuums; one that keeps retiring predicates vacuums each time its
+    // space doubles.
+    void begin_generation();
+    // The limit the next begin_generation() applies.
+    [[nodiscard]] std::size_t generation_vacuum_limit() const;
+    static constexpr std::size_t kGenerationVacuumFloor = 4096;
+
 private:
     [[nodiscard]] bdd::Node compile_fresh(const ir::PredPtr& p);
     [[nodiscard]] bdd::Node field_equals(const std::string& field,
@@ -120,6 +135,10 @@ private:
     long long compiles_ = 0;
     long long compile_hits_ = 0;
     long long vacuums_ = 0;
+    // begin_generation() calls since the last vacuum (counted up to 2),
+    // and the node count the first of them finished at (0 until it has).
+    int generations_ = 0;
+    std::size_t settled_nodes_ = 0;
     long long retired_applies_ = 0;
     long long retired_cache_hits_ = 0;
 };

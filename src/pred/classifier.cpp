@@ -9,15 +9,6 @@
 namespace merlin::pred {
 namespace {
 
-// Injective mixing for (var, low, high) — same scheme as the BDD unique
-// table: node ids stay below 2^27 and vars below 2^10 in our workloads
-// (kLeafVar never enters unique_; leaves intern through leaf_nodes_).
-std::uint64_t unique_key(int var, std::uint32_t low, std::uint32_t high) {
-    return (static_cast<std::uint64_t>(var) << 54) ^
-           (static_cast<std::uint64_t>(low) << 27) ^
-           static_cast<std::uint64_t>(high);
-}
-
 std::uint64_t merge_key(std::uint32_t a, std::uint32_t b) {
     return (static_cast<std::uint64_t>(a) << 32) |
            static_cast<std::uint64_t>(b);
@@ -33,6 +24,10 @@ std::string set_text(const std::vector<Classifier::Index>& set) {
 }
 
 }  // namespace
+
+std::size_t Classifier::Mnode_hash::operator()(const Mnode& n) const {
+    return bdd::hash_triple(static_cast<std::uint32_t>(n.var), n.low, n.high);
+}
 
 std::uint32_t Classifier::intern_set(std::vector<Index> set) {
     const std::string key = set_text(set);
@@ -56,13 +51,11 @@ std::uint32_t Classifier::leaf(std::uint32_t set_id) {
 std::uint32_t Classifier::make(int var, std::uint32_t low,
                                std::uint32_t high) {
     if (low == high) return low;  // reduction rule
-    const std::uint64_t key = unique_key(var, low, high);
-    const auto it = unique_.find(key);
-    if (it != unique_.end()) return it->second;
-    const auto id = static_cast<std::uint32_t>(nodes_.size());
-    nodes_.push_back(Mnode{var, low, high});
-    unique_.emplace(key, id);
-    return id;
+    const Mnode node{var, low, high};
+    const auto [it, inserted] =
+        unique_.try_emplace(node, static_cast<std::uint32_t>(nodes_.size()));
+    if (inserted) nodes_.push_back(node);
+    return it->second;
 }
 
 std::uint32_t Classifier::convert(

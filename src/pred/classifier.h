@@ -83,6 +83,10 @@ private:
         int var;
         std::uint32_t low;
         std::uint32_t high;
+        friend bool operator==(const Mnode&, const Mnode&) = default;
+    };
+    struct Mnode_hash {
+        std::size_t operator()(const Mnode& n) const;
     };
     struct Group {
         bdd::Node root;
@@ -104,7 +108,8 @@ private:
     std::vector<std::vector<Index>> sets_;  // interned terminal sets
     std::unordered_map<std::string, std::uint32_t> set_intern_;  // key: text
     std::unordered_map<std::uint32_t, std::uint32_t> leaf_nodes_;
-    std::unordered_map<std::uint64_t, std::uint32_t> unique_;
+    // Unique table, keyed by the full (var, low, high).
+    std::unordered_map<Mnode, std::uint32_t, Mnode_hash> unique_;
     std::unordered_map<std::uint64_t, std::uint32_t> merge_cache_;
     std::uint32_t empty_leaf_;
     std::uint32_t root_;

@@ -11,7 +11,9 @@
 #include "codegen/codegen.h"
 #include "codegen/diff.h"
 #include "core/compiler.h"
+#include "mixed_deltas.h"
 #include "parser/parser.h"
+#include "topo/generators.h"
 #include "topo/parse.h"
 #include "topo/topology.h"
 
@@ -313,6 +315,62 @@ TEST(AnalysisDataplane, UpdateCheckerStepsThroughGenerations) {
     const Report report = checker.step(new_comp, topo);
     EXPECT_TRUE(report.empty()) << to_text(report);
     EXPECT_FALSE(checker.config().flow_rules.empty());
+}
+
+// ------------------------------------------- one space across generations
+
+// Drives `deltas` mixed deltas through one Update_checker, whose
+// generations share one predicate space. Every step's report must equal
+// the per-call check_update / check_dataplane report on the same inputs,
+// and the space must keep to its vacuum rule. Every other fail/restore pair
+// is checked as a transition anyway, so the compared reports carry
+// failed-link findings and their witnesses rather than all being empty.
+// (codegen_diff_test pins the configs to a fresh batch generate.)
+void expect_one_space_matches_fresh(
+    const topo::Topology& topo,
+    std::vector<std::pair<std::string, std::string>> links, int deltas) {
+    test_support::Mixed_deltas stream(topo, std::move(links));
+    Update_checker checker;
+    const pred::Analyzer& space = checker.incremental().analyzer();
+    core::Compilation previous;
+    codegen::Configuration previous_config;
+    int with_findings = 0;
+    for (int step = 0; step <= deltas; ++step) {
+        const bool link_delta = step > 0 && stream.next();
+        const bool transition = step > 0 && (!link_delta || step % 12 < 6);
+        const core::Compilation& comp = stream.engine().current();
+        const topo::Topology& now = stream.engine().topology();
+
+        const std::size_t nodes = space.manager().node_count();
+        const std::size_t limit = space.generation_vacuum_limit();
+        const long long vacuums = space.vacuum_count();
+        const Report shared = checker.step(comp, now, transition);
+        EXPECT_EQ(space.vacuum_count() > vacuums, nodes > limit)
+            << "step " << step << ": " << nodes << " nodes, limit " << limit;
+
+        const codegen::Configuration& config = checker.config();
+        const Report fresh =
+            transition ? check_update(previous, comp, previous_config,
+                                      codegen::diff(previous_config, config),
+                                      config, now)
+                       : check_dataplane(comp, config, now);
+        EXPECT_EQ(to_text(shared), to_text(fresh)) << "step " << step;
+        if (!shared.empty()) ++with_findings;
+        previous = comp;
+        previous_config = config;
+    }
+    EXPECT_GT(space.vacuum_count(), 0);
+    EXPECT_GT(with_findings, 0);
+}
+
+TEST(AnalysisDataplane, OneSpaceAcrossGenerationsMatchesFreshSpacesFatTree) {
+    expect_one_space_matches_fresh(topo::fat_tree(4),
+                                   {{"c0", "a0_0"}, {"c2", "a1_1"}}, 300);
+}
+
+TEST(AnalysisDataplane, OneSpaceAcrossGenerationsMatchesFreshSpacesCampus) {
+    expect_one_space_matches_fresh(topo::campus(),
+                                   {{"z0", "bbra"}, {"z3", "bbrb"}}, 150);
 }
 
 }  // namespace

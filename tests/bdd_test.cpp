@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
+#include "ir/fields.h"
+#include "util/error.h"
 #include "util/rng.h"
 
 namespace merlin::bdd {
@@ -111,11 +116,12 @@ TEST(Bdd, WorkCountersTrackAppliesAndCacheHits) {
     EXPECT_EQ(m.apply_count(), before + 1);  // one memoized top-level call
 }
 
-TEST(Bdd, ApplyCacheSweepsWhenOversizedAndStaysCorrect) {
-    // The cache is bounded by O(live nodes): pairwise conjunction of
+TEST(Bdd, ApplyCacheStaysAtItsCapAndCorrect) {
+    // The cache is bounded by a fixed slot cap: pairwise conjunction of
     // disjoint value-equality chains is the worst case, flooding the cache
     // with per-pair suffix keys while every partial product is kFalse (no
-    // new nodes). The sweep must fire; results must stay correct after.
+    // new nodes). Colliding entries overwrite each other; results must stay
+    // correct throughout.
     constexpr int kBits = 16;
     Manager m(kBits);
     const auto equals = [&](int value) {
@@ -135,14 +141,80 @@ TEST(Bdd, ApplyCacheSweepsWhenOversizedAndStaysCorrect) {
         for (std::size_t j = i + 1; j < preds.size(); ++j)
             if (m.apply_and(preds[i], preds[j]) != kFalse) ++wrong;
     EXPECT_EQ(wrong, 0);
-    EXPECT_GT(m.cache_sweeps(), 0);
+    EXPECT_EQ(m.cache_slots(), Manager::kCacheSlotCap);
     EXPECT_EQ(m.node_count(), nodes_before);  // the table itself never grew
 
-    // Post-sweep applies recompute and hash-cons to the same nodes.
+    // Applies after evictions recompute and hash-cons to the same nodes.
     EXPECT_EQ(m.apply_and(preds[7], preds[7]), preds[7]);
     EXPECT_EQ(m.apply_or(preds[3], kFalse), preds[3]);
     const auto witness = m.pick_assignment(preds[42]);
     EXPECT_TRUE(m.evaluate(preds[42], witness));
+}
+
+// The value-equality chain of `width` variables from `first`, built the
+// quadratic way: one apply_and per bit over the growing conjunction.
+Node and_chain(Manager& m, int first, int width, std::uint64_t value) {
+    Node acc = kTrue;
+    for (int bit = 0; bit < width; ++bit) {
+        const bool set = ((value >> (width - 1 - bit)) & 1) != 0;
+        acc = m.apply_and(acc, set ? m.var(first + bit) : m.nvar(first + bit));
+    }
+    return acc;
+}
+
+TEST(Bdd, CubeEqualsTheApplyChainForEveryFieldWidth) {
+    Rng rng(17);
+    const int total = ir::total_header_bits();
+    Manager m(total);
+    for (const ir::Field& f : ir::fields()) {
+        const std::uint64_t top =
+            f.width == 64 ? ~std::uint64_t{0}
+                          : (std::uint64_t{1} << f.width) - 1;
+        std::vector<std::uint64_t> values{0, top, top >> 1, 1};
+        for (int i = 0; i < 8; ++i)
+            values.push_back(
+                static_cast<std::uint64_t>(rng.uniform(
+                    0, std::numeric_limits<std::int64_t>::max())) &
+                top);
+        for (const std::uint64_t v : values) {
+            const std::size_t before = m.node_count();
+            const Node c = m.cube(f.bit_offset, f.width, v);
+            // A fresh cube adds at most one node per bit.
+            EXPECT_LE(m.node_count(), before + static_cast<std::size_t>(f.width));
+            EXPECT_EQ(c, and_chain(m, f.bit_offset, f.width, v))
+                << f.name << " = " << v;
+            EXPECT_EQ(m.sat_count(c), std::pow(2.0, total - f.width));
+        }
+    }
+    // Bits above the width are ignored, as the apply chain ignores them.
+    EXPECT_EQ(m.cube(0, 4, 0x1F), m.cube(0, 4, 0xF));
+    EXPECT_EQ(m.cube(3, 0, 5), kTrue);
+}
+
+TEST(Bdd, CubeRejectsOutOfRangeVariables) {
+    Manager m(16);
+    EXPECT_NO_THROW((void)m.cube(0, 16, 7));
+    EXPECT_THROW((void)m.cube(1, 16, 7), Error);
+    EXPECT_THROW((void)m.cube(-1, 4, 7), Error);
+    EXPECT_THROW((void)m.cube(12, 5, 7), Error);
+    EXPECT_THROW((void)m.cube(0, -1, 7), Error);
+    Manager wide(100);
+    EXPECT_THROW((void)wide.cube(0, 65, 7), Error);
+}
+
+TEST(Bdd, NodesPastVariable1024KeepTheirIdentity) {
+    // Regression: a unique key that packed the variable into the top ten
+    // bits of a word made variable 1024 + k alias variable k.
+    Manager m(1100);
+    const Node low = m.var(3);
+    const Node high = m.var(1024 + 3);
+    EXPECT_NE(low, high);
+    EXPECT_EQ(m.node_var(high), 1024 + 3);
+    EXPECT_NE(m.apply_and(low, m.nvar(1027)), kFalse);
+    std::vector<bool> bits(1100, false);
+    bits[1027] = true;
+    EXPECT_TRUE(m.evaluate(high, bits));
+    EXPECT_FALSE(m.evaluate(low, bits));
 }
 
 TEST(Bdd, ImplicationAndDisjointness) {

@@ -13,6 +13,7 @@
 #include "parser/parser.h"
 #include "pred/packet.h"
 #include "util/rng.h"
+#include "util/strings.h"
 
 namespace merlin::pred {
 namespace {
@@ -130,6 +131,34 @@ TEST(Classifier, CompileMemoBoundsWorkByDistinctPredicates) {
     Packet k;
     k.fields["tcp.dst"] = 8003;
     EXPECT_EQ(classifier.classify(k).size(), 100u);
+}
+
+// With 1,024 needles registered first, n1023 sits on variable 1024 + 259:
+// a unique key packing the variable into a word's top ten bits merged its
+// DAG nodes with those of variable 259, udp.dst's low bit.
+TEST(Classifier, NeedlePastVariable1024KeepsItsOwnNodes) {
+    Analyzer analyzer;
+    for (int i = 0; i < 1024; ++i)
+        (void)analyzer.compile(ir::pred_payload(indexed("n", i)));
+    const auto preds = parse_all(
+        {"udp.dst = 1 or (udp.dst = 3 and payload = \"n1023\")"});
+    const Classifier classifier(analyzer, preds);
+    const bdd::Node root = analyzer.compile(preds[0]);
+    for (const auto& [port, payload] :
+         std::vector<std::pair<std::uint64_t, std::string>>{
+             {1, ""}, {3, "n1023"}, {3, ""}, {2, "n1023"}, {1, "n1023"}}) {
+        Packet k;
+        k.fields["udp.dst"] = port;
+        k.payload = payload;
+        const bool expected = matches(preds[0], k);
+        EXPECT_EQ(analyzer.manager().evaluate(root, analyzer.bits_of(k)),
+                  expected)
+            << "udp.dst=" << port << " payload \"" << payload << '"';
+        EXPECT_EQ(classifier.classify(k),
+                  expected ? std::vector<Classifier::Index>{0}
+                           : std::vector<Classifier::Index>{})
+            << "udp.dst=" << port << " payload \"" << payload << '"';
+    }
 }
 
 TEST(Classifier, SurvivesAnalyzerVacuum) {

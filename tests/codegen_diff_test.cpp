@@ -4,11 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/addressing.h"
 #include "core/engine.h"
+#include "mixed_deltas.h"
 #include "netsim/tables.h"
 #include "parser/parser.h"
 #include "testgen/testgen.h"
@@ -459,6 +461,56 @@ TEST(Diff, TenantAddRemoveCycleAppliesExactly) {
         EXPECT_FALSE(d.classifier_removes.empty()) << to_text(d);
     }
     EXPECT_EQ(keyed_text(incremental.config(), incremental.naming()), start);
+}
+
+TEST(Diff, OneSpaceAcrossGenerationsAndCopiesEvolveAlike) {
+    // 300 mixed deltas through one Incremental, whose generations share
+    // one predicate space: every config stays batch-equal modulo names
+    // (checked_update), and the space keeps to its vacuum rule. A copy
+    // taken halfway is left alone while the original runs on — its space
+    // must not move — then replays the same generations and must produce
+    // the same diffs, node counts and vacuums.
+    const topo::Topology t = topo::fat_tree(4);
+    test_support::Mixed_deltas stream(t, {{"c0", "a0_0"}, {"c2", "a1_1"}});
+    Incremental incremental;
+    const pred::Analyzer& space = incremental.analyzer();
+    std::optional<Incremental> copy;
+    std::size_t copied_nodes = 0;
+    struct Generation {
+        core::Compilation compilation;
+        topo::Topology topo;
+        std::string diff;
+        std::size_t nodes;
+    };
+    std::vector<Generation> after_copy;
+    for (int step = 0; step <= 300; ++step) {
+        if (step > 0) (void)stream.next();
+        const std::size_t nodes = space.manager().node_count();
+        const std::size_t limit = space.generation_vacuum_limit();
+        const long long vacuums = space.vacuum_count();
+        const Diff d = checked_update(incremental, stream.engine());
+        EXPECT_EQ(space.vacuum_count() > vacuums, nodes > limit)
+            << "step " << step << ": " << nodes << " nodes, limit " << limit;
+        if (copy)
+            after_copy.push_back({stream.engine().current(),
+                                  stream.engine().topology(), to_text(d),
+                                  space.manager().node_count()});
+        if (step == 150) {
+            copy = incremental;
+            copied_nodes = space.manager().node_count();
+        }
+    }
+    EXPECT_GT(space.vacuum_count(), 0);
+
+    ASSERT_TRUE(copy);
+    EXPECT_EQ(copy->analyzer().manager().node_count(), copied_nodes);
+    for (const Generation& g : after_copy) {
+        EXPECT_EQ(to_text(copy->update(g.compilation, g.topo)), g.diff);
+        EXPECT_EQ(copy->analyzer().manager().node_count(), g.nodes);
+    }
+    EXPECT_EQ(copy->analyzer().vacuum_count(), space.vacuum_count());
+    EXPECT_EQ(keyed_text(copy->config(), copy->naming()),
+              keyed_text(incremental.config(), incremental.naming()));
 }
 
 TEST(Naming, LongChurnKeepsTagHighWaterBounded) {

@@ -9,6 +9,7 @@
 #include "pred/packet.h"
 #include "util/error.h"
 #include "util/rng.h"
+#include "util/strings.h"
 
 namespace merlin::pred {
 namespace {
@@ -223,6 +224,56 @@ TEST(Pred, MacEqualityIsExact) {
                            parse_predicate("eth.src = 00:00:00:00:00:02")));
     EXPECT_TRUE(a.equivalent(parse_predicate("eth.src = 00:00:00:00:00:ff"),
                              parse_predicate("eth.src = 00:00:00:00:00:FF")));
+}
+
+// Registers payload needles n0 .. n<count - 1>, one variable each, after
+// the ir::fields() header bits.
+void register_needles(Analyzer& a, int count) {
+    for (int i = 0; i < count; ++i)
+        (void)a.compile(ir::pred_payload(indexed("n", i)));
+}
+
+Packet udp_packet(std::uint64_t port, std::string payload = {}) {
+    Packet k;
+    k.fields["udp.dst"] = port;
+    k.payload = std::move(payload);
+    return k;
+}
+
+// With 1,024 needles the last one, n1023, sits on variable 260 + 1023 =
+// 1024 + 259. A unique-table key that packed the variable into a word's
+// top ten bits made it alias variable 259, udp.dst's low bit.
+TEST(Pred, NeedlePastVariable1024StaysApartFromHeaderBits) {
+    Analyzer a;
+    const auto port1 = parse_predicate("udp.dst = 1");
+    const auto port2 = parse_predicate("udp.dst = 2");
+    const auto needle = parse_predicate("payload = \"n1023\"");
+    (void)a.compile(port1);
+    register_needles(a, 1024);
+    ASSERT_EQ(a.manager().variable_count(), ir::total_header_bits() + 1024);
+    EXPECT_FALSE(a.disjoint(needle, port2));
+    EXPECT_FALSE(a.implies(port1, needle));
+    for (const Packet& k : {udp_packet(1), udp_packet(2, "n1023"),
+                            udp_packet(3, "n1023"), udp_packet(2)})
+        for (const auto& p : {port1, port2, needle,
+                              ir::pred_and(port2, needle)})
+            EXPECT_EQ(a.manager().evaluate(a.compile(p), a.bits_of(k)),
+                      matches(p, k))
+                << ir::to_string(p) << " on udp.dst=" << k.get("udp.dst")
+                << " payload \"" << k.payload << '"';
+}
+
+TEST(Pred, HeaderBitsCompiledAfterManyNeedlesKeepTheirMeaning) {
+    Analyzer a;
+    register_needles(a, 1024);
+    const auto p = parse_predicate(
+        "udp.dst = 1 or (udp.dst = 3 and payload = \"n1023\")");
+    for (const Packet& k : {udp_packet(1), udp_packet(3, "n1023"),
+                            udp_packet(3), udp_packet(2, "n1023")})
+        EXPECT_EQ(a.manager().evaluate(a.compile(p), a.bits_of(k)),
+                  matches(p, k))
+            << "udp.dst=" << k.get("udp.dst") << " payload \"" << k.payload
+            << '"';
 }
 
 // Property sweep: the BDD compilation must agree with the direct evaluator

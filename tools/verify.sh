@@ -10,9 +10,10 @@
 #   - an ASan/UBSan leg over the solver-path and long-lived-state suites
 #     (lp, mip, core — which includes the incremental engine and the
 #     colgen/sharded solver-mode suites — plus negotiator and netsim, the
-#     layers that now hold or drive persistent engine state, and the
-#     pred/bdd suites covering the shared predicate DAG and the bounded
-#     apply cache);
+#     layers that now hold or drive persistent engine state, the pred/bdd
+#     suites covering the shared predicate DAG and the flat BDD kernel
+#     with its lossy apply cache, and codegen/analysis, whose Incremental
+#     and Update_checker hold one predicate space across generations);
 #   - a ThreadSanitizer leg over the compiler/engine/sinktree/automata
 #     suites plus sharded_test (MERLIN_THREADS forces a multi-threaded
 #     front-end), race-checking the parallel compilation fan-out, the
@@ -82,7 +83,7 @@ fi
 cmake -B build-asan -S . -DMERLIN_SANITIZE=address,undefined
 cmake --build build-asan -j "$JOBS"
 (cd build-asan && ctest --output-on-failure -j "$JOBS" \
-    -L "lp|mip|core|negotiator|netsim|testgen|daemon|pred|bdd")
+    -L "lp|mip|core|negotiator|netsim|testgen|daemon|pred|bdd|codegen|analysis")
 
 # --- TSan leg: parallel front-end + daemon RCU readers under ThreadSanitizer
 cmake -B build-tsan -S . -DMERLIN_SANITIZE=thread
