@@ -85,7 +85,7 @@ int main() {
             std::vector<core::Guaranteed_request> requests;
             for (int i = 0; i < n; ++i) {
                 core::Guaranteed_request r;
-                r.id = "g" + std::to_string(i);
+                r.id = indexed("g", i);
                 r.rate = mb_per_sec(1);
                 const auto src = hosts[static_cast<std::size_t>(
                     i % static_cast<int>(hosts.size()))];

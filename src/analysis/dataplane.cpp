@@ -10,7 +10,6 @@
 
 #include "analysis/witness.h"
 #include "pred/analysis.h"
-#include "pred/classifier.h"
 
 namespace merlin::analysis {
 
@@ -446,21 +445,15 @@ std::vector<std::string> edge_switches(topo::NodeId src,
 std::vector<Class_check> select_classes(const core::Compilation& comp,
                                         const topo::Topology& topo,
                                         pred::Analyzer& analyzer) {
-    // Per-plan satisfiability through the shared predicate DAG: one group
-    // per distinct predicate function, so 100k statements over a small
-    // predicate pool cost one BDD compile per *distinct* predicate.
-    std::vector<ir::PredPtr> preds;
-    preds.reserve(comp.plans.size());
-    for (const core::Statement_plan& plan : comp.plans)
-        preds.push_back(plan.statement.predicate);
-    const pred::Classifier classifier(analyzer, preds);
     std::vector<Class_check> out;
-    for (std::size_t p = 0; p < comp.plans.size(); ++p) {
-        const core::Statement_plan& plan = comp.plans[p];
+    for (const core::Statement_plan& plan : comp.plans) {
         if (plan.statement.id == "__default" || plan.drop) continue;
         if (!plan.src_host || !plan.dst_host) continue;
         if (passthrough_ambiguous(plan, topo)) continue;
-        if (classifier.group_root(classifier.group_of(p)) == bdd::kFalse)
+        // Unsatisfiable predicates carry no traffic to check. The compile is
+        // memoized in the checker's space, so a candidate costs one BDD
+        // compile per distinct predicate.
+        if (analyzer.compile(plan.statement.predicate) == bdd::kFalse)
             continue;
         Class_check cls;
         cls.id = plan.statement.id;

@@ -1,8 +1,10 @@
 #include "analysis/lint.h"
 
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "analysis/witness.h"
@@ -71,24 +73,58 @@ void lint_predicates(const ir::Policy& policy, pred::Analyzer& analyzer,
     }
 }
 
+// Emptiness of one path expression over one alphabet: reachability in its
+// Thompson NFA, or the Policy_error text thompson() threw for a name the
+// alphabet cannot resolve.
+struct Path_verdict {
+    bool empty = false;
+    std::optional<std::string> error;
+};
+
+// Path verdicts over one alphabet, memoized per path text: statements that
+// share an expression share one Thompson construction.
+class Path_checks {
+public:
+    explicit Path_checks(const automata::Alphabet& alphabet)
+        : alphabet_(alphabet) {}
+
+    const Path_verdict& check(const std::string& text,
+                              const ir::PathPtr& path) {
+        const auto [it, inserted] = memo_.try_emplace(text);
+        if (inserted) {
+            try {
+                it->second.empty =
+                    automata::is_empty(automata::thompson(path, alphabet_));
+            } catch (const Policy_error& e) {
+                it->second.error = e.what();
+            }
+        }
+        return it->second;
+    }
+
+private:
+    const automata::Alphabet& alphabet_;
+    std::unordered_map<std::string, Path_verdict> memo_;
+};
+
 void lint_paths(const ir::Policy& policy, const topo::Topology& topo,
                 pred::Analyzer& analyzer,
                 const std::set<std::string>& guaranteed, Report& report) {
     const automata::Alphabet full = core::make_alphabet(topo);
     const automata::Alphabet switches = core::make_switch_alphabet(topo);
+    Path_checks over_full(full);
+    Path_checks over_switches(switches);
     for (const ir::Statement& s : policy.statements) {
-        automata::Dfa dfa;
-        try {
-            dfa = automata::determinize(
-                automata::remove_epsilon(automata::thompson(s.path, full)));
-        } catch (const Policy_error& e) {
+        const std::string text = ir::to_string(s.path);
+        const Path_verdict& any = over_full.check(text, s.path);
+        if (any.error) {
             report.push_back(
-                {Severity::error, "unknown-location", s.id, e.what(), ""});
+                {Severity::error, "unknown-location", s.id, *any.error, ""});
             continue;
         }
-        if (automata::is_empty(dfa)) {
+        if (any.empty) {
             report.push_back({Severity::error, "vacuous-path", s.id,
-                              "path expression '" + ir::to_string(s.path) +
+                              "path expression '" + text +
                                   "' accepts no location word",
                               packet_witness(analyzer, s.predicate)});
             continue;
@@ -97,22 +133,14 @@ void lint_paths(const ir::Policy& policy, const topo::Topology& topo,
         // Best-effort statements route over switches and middleboxes only
         // (Section 3.3); an expression whose every word needs a host symbol
         // can never be realized for them.
-        bool dead = false;
-        std::string detail;
-        try {
-            dead = automata::is_empty(automata::determinize(
-                automata::remove_epsilon(automata::thompson(s.path,
-                                                            switches))));
-            detail = "admits no switch-level word";
-        } catch (const Policy_error& e) {
-            dead = true;
-            detail = e.what();
-        }
-        if (dead)
-            report.push_back({Severity::warning, "dead-best-effort", s.id,
-                              "best-effort statement cannot be routed (" +
-                                  detail + ")",
-                              packet_witness(analyzer, s.predicate)});
+        const Path_verdict& routed = over_switches.check(text, s.path);
+        if (!routed.error && !routed.empty) continue;
+        const std::string detail =
+            routed.error ? *routed.error : "admits no switch-level word";
+        report.push_back({Severity::warning, "dead-best-effort", s.id,
+                          "best-effort statement cannot be routed (" +
+                              detail + ")",
+                          packet_witness(analyzer, s.predicate)});
     }
 }
 

@@ -410,6 +410,26 @@ bool accepts(const Nfa& nfa, const std::vector<int>& word) {
     return false;
 }
 
+bool is_empty(const Nfa& nfa) {
+    // Every edge is a step some word can take (epsilon edges consume
+    // nothing), so the language is empty iff no accepting state is
+    // reachable from the start in the edge graph.
+    std::vector<bool> seen(static_cast<std::size_t>(nfa.state_count()), false);
+    std::vector<int> stack{nfa.start};
+    seen[static_cast<std::size_t>(nfa.start)] = true;
+    while (!stack.empty()) {
+        const int q = stack.back();
+        stack.pop_back();
+        if (nfa.accepting[static_cast<std::size_t>(q)]) return false;
+        for (const Nfa_edge& e : nfa.edges[static_cast<std::size_t>(q)]) {
+            if (seen[static_cast<std::size_t>(e.target)]) continue;
+            seen[static_cast<std::size_t>(e.target)] = true;
+            stack.push_back(e.target);
+        }
+    }
+    return true;
+}
+
 // ----------------------------------------------------------------------- DFA
 
 Dfa determinize(const Nfa& nfa) {

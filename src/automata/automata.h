@@ -95,6 +95,11 @@ struct Nfa {
 // True if the NFA accepts the symbol sequence.
 [[nodiscard]] bool accepts(const Nfa& nfa, const std::vector<int>& word);
 
+// True if the NFA accepts no word: no accepting state is reachable from the
+// start, following epsilon edges too. Equal to is_empty(determinize(nfa))
+// without building the subset automaton.
+[[nodiscard]] bool is_empty(const Nfa& nfa);
+
 // ----------------------------------------------------------------------- DFA
 
 struct Dfa {

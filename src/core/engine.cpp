@@ -263,34 +263,72 @@ void Engine::preprocess(const ir::Policy& policy) {
 }
 
 void Engine::check_disjoint_all() const {
-    if (entries_.size() < 2) return;
-    // One shared predicate DAG instead of O(n^2) pairwise BDD products: a
-    // reachable terminal set with two or more members is a proof that some
-    // packet matches both statements. The endpoint shortcut of the old
-    // bucketed check is preserved — statements pinning different (src, dst)
-    // pairs are disjoint by construction and are not reported; a pair is
-    // only an error when the buckets match or a side is fully unpinned.
-    std::vector<ir::PredPtr> preds;
-    preds.reserve(entries_.size());
-    for (const Entry& e : entries_) preds.push_back(e.stmt.predicate);
-    const pred::Classifier classifier(analyzer_, preds);
-    const auto reportable = [&](std::size_t a, std::size_t b) {
-        const Entry& ea = entries_[a];
-        const Entry& eb = entries_[b];
-        if ((!ea.src_host && !ea.dst_host) || (!eb.src_host && !eb.dst_host))
-            return true;
-        return endpoint_key(ea.src_host, ea.dst_host) ==
-               endpoint_key(eb.src_host, eb.dst_host);
-    };
-    for (const auto& set : classifier.match_sets()) {
-        for (std::size_t i = 0; i < set.size(); ++i)
-            for (std::size_t j = i + 1; j < set.size(); ++j)
-                if (reportable(set[i], set[j]))
-                    throw Policy_error(
-                        "statements '" + entries_[set[i]].stmt.id +
-                        "' and '" + entries_[set[j]].stmt.id +
-                        "' have overlapping predicates");
+    // An overlap is reportable only between statements that pin the same
+    // (src, dst) endpoint key, or when one side pins neither endpoint:
+    // statements pinning different pairs are disjoint by construction. So
+    // no predicate DAG spans the whole policy:
+    //   * one DAG per endpoint bucket of two or more statements, and one
+    //     over the fully unpinned statements; a reachable terminal set with
+    //     two members proves that some packet matches both;
+    //   * each pinned statement is tested against the union of the unpinned
+    //     predicates, and only an overlapping one against each of them in
+    //     turn.
+    // A policy without unpinned statements compiles only predicates that
+    // share a bucket. The smallest reportable pair (i, j) is reported.
+    std::vector<std::size_t> unpinned;
+    std::unordered_map<std::string, std::vector<std::size_t>> buckets;
+    for (std::size_t i = 0; i < entries_.size(); ++i) {
+        const Entry& e = entries_[i];
+        if (!e.src_host && !e.dst_host)
+            unpinned.push_back(i);
+        else
+            buckets[endpoint_key(e.src_host, e.dst_host)].push_back(i);
     }
+    std::optional<std::pair<std::size_t, std::size_t>> first;
+    const auto note = [&](std::size_t a, std::size_t b) {
+        const std::pair<std::size_t, std::size_t> pair{std::min(a, b),
+                                                       std::max(a, b)};
+        if (!first || pair < *first) first = pair;
+    };
+    // Members ascend, so a terminal set's two smallest members are its
+    // smallest pair.
+    const auto classify = [&](const std::vector<std::size_t>& members) {
+        if (members.size() < 2) return;
+        std::vector<ir::PredPtr> preds;
+        preds.reserve(members.size());
+        for (const std::size_t i : members)
+            preds.push_back(entries_[i].stmt.predicate);
+        const pred::Classifier classifier(analyzer_, preds);
+        for (const auto& set : classifier.match_sets())
+            if (set.size() >= 2) note(members[set[0]], members[set[1]]);
+    };
+    classify(unpinned);
+    for (const auto& bucket : buckets) classify(bucket.second);
+    if (!unpinned.empty()) {
+        bdd::Manager& mgr = analyzer_.manager();
+        const auto root = [&](std::size_t i) {
+            return analyzer_.compile(entries_[i].stmt.predicate);
+        };
+        bdd::Node any_unpinned = bdd::kFalse;
+        for (const std::size_t j : unpinned)
+            any_unpinned = mgr.apply_or(any_unpinned, root(j));
+        for (const auto& bucket : buckets)
+            for (const std::size_t i : bucket.second) {
+                const bdd::Node pinned = root(i);
+                if (mgr.disjoint(pinned, any_unpinned)) continue;
+                // Unpinned indices ascend, so the first overlap is this
+                // statement's smallest pair with an unpinned one.
+                for (const std::size_t j : unpinned)
+                    if (!mgr.disjoint(pinned, root(j))) {
+                        note(i, j);
+                        break;
+                    }
+            }
+    }
+    if (first)
+        throw Policy_error("statements '" + entries_[first->first].stmt.id +
+                           "' and '" + entries_[first->second].stmt.id +
+                           "' have overlapping predicates");
 }
 
 void Engine::check_disjoint_against(const Entry& fresh) const {
@@ -548,8 +586,7 @@ void Engine::publish() {
                     const auto i = static_cast<std::size_t>(u);
                     if (built.errors[i]) return;
                     interned[i].nfa = std::move(built.nfas[i]);
-                    interned[i].empty = automata::is_empty(
-                        automata::determinize(interned[i].nfa));
+                    interned[i].empty = automata::is_empty(interned[i].nfa);
                 });
             for (std::size_t i = 0; i < missing.size(); ++i) {
                 if (built.errors[i]) {

@@ -4,6 +4,8 @@
 #include <cctype>
 #include <cstring>
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <thread>
 
@@ -31,20 +33,43 @@ std::vector<std::string> tokenize(const std::string& text) {
     return tokens;
 }
 
-// "<n>" (whole Mbps) or "<n>bps" (exact bits/sec); throws on anything else.
-Bandwidth parse_rate(const std::string& text) {
-    std::string digits = text;
-    bool exact = false;
-    if (digits.size() > 3 && digits.ends_with("bps")) {
-        digits.resize(digits.size() - 3);
-        exact = true;
-    }
+// A whole decimal number; nullopt unless `digits` is all digits, and a
+// refusal naming `token` when it does not fit 64 bits.
+std::optional<std::uint64_t> whole_number(const std::string& digits,
+                                          const std::string& token) {
     if (digits.empty() ||
         !std::all_of(digits.begin(), digits.end(),
                      [](unsigned char c) { return std::isdigit(c) != 0; }))
-        throw Error("malformed rate (expected <Mbps> or <n>bps): " + text);
-    const std::uint64_t value = std::stoull(digits);
-    return exact ? bits_per_sec(value) : mbps(value);
+        return std::nullopt;
+    constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+    std::uint64_t value = 0;
+    for (const char c : digits) {
+        const auto digit = static_cast<std::uint64_t>(c - '0');
+        if (value > (kMax - digit) / 10)
+            throw Error("rate out of range: " + token);
+        value = value * 10 + digit;
+    }
+    return value;
+}
+
+// "<n>" (whole Mbps), "<n>bps" (exact bits/sec: format_rate's form, which
+// a double would round past 2^53), or any rate policy text accepts
+// ("5Mbps", "1.5MB/s"). Throws naming the token on anything else.
+Bandwidth parse_rate(const std::string& text) {
+    if (const auto n = whole_number(text, text)) {
+        if (*n > std::numeric_limits<std::uint64_t>::max() / mbps(1).bps())
+            throw Error("rate out of range: " + text);
+        return mbps(*n);
+    }
+    if (text.ends_with("bps"))
+        if (const auto n = whole_number(text.substr(0, text.size() - 3), text))
+            return bits_per_sec(*n);
+    try {
+        return parse_bandwidth(text);
+    } catch (const Parse_error&) {
+        throw Error("invalid rate (expected <Mbps>, <n>bps or <n><unit>): " +
+                    text);
+    }
 }
 
 std::string format_rate(Bandwidth rate) {

@@ -3,6 +3,7 @@
 #include <array>
 #include <cctype>
 #include <sstream>
+#include <stdexcept>
 
 #include "util/strings.h"
 
@@ -78,6 +79,21 @@ std::optional<std::uint64_t> parse_ipv4(const std::string& text) {
     return value;
 }
 
+// A numeric literal in C notation (decimal, 0x hex, leading-0 octal). It
+// must be consumed whole and fit in 64 bits: "09" is not octal 0 followed
+// by junk, and an overlong literal is not an exception.
+std::optional<std::uint64_t> parse_number(const std::string& text) {
+    std::size_t consumed = 0;
+    std::uint64_t value = 0;
+    try {
+        value = std::stoull(text, &consumed, 0);
+    } catch (const std::logic_error&) {
+        return std::nullopt;
+    }
+    if (consumed != text.size()) return std::nullopt;
+    return value;
+}
+
 std::optional<std::uint64_t> parse_symbolic(const Field& field,
                                             const std::string& text) {
     if (field.name == "ip.proto") {
@@ -123,7 +139,7 @@ std::optional<std::uint64_t> parse_field_value(const Field& field,
     else if (text.find('.') != std::string::npos)
         value = parse_ipv4(text);
     else if (std::isdigit(static_cast<unsigned char>(text[0])))
-        value = static_cast<std::uint64_t>(std::stoull(text, nullptr, 0));
+        value = parse_number(text);
     else
         value = parse_symbolic(field, text);
     if (!value) return std::nullopt;

@@ -1,4 +1,4 @@
-// Shared predicate classification (ROADMAP item 2).
+// Shared predicate classification.
 //
 // Merlin's per-statement predicate handling compiles, checks, and emits once
 // *per statement*, which collapses at the 10^5-statement policies "millions
@@ -18,6 +18,12 @@
 //     set-union apply in a balanced tree, so the DAG is built in near-linear
 //     time for the disjoint-heavy policies Merlin produces.
 //
+// The kernel is flat, like bdd::Manager's: the unique table is open
+// addressing over node ids, and the convert and merge memos are
+// open-addressed tables. Those tables serve construction only and are
+// released when the constructor returns. Terminal sets are never built
+// twice (classifier.cpp says why), so they need no interning.
+//
 // The classifier's DAG is self-contained (its nodes copy the variable
 // indices out of the analyzer), so it stays valid even if the analyzer is
 // vacuumed afterwards; only group_root() then names retired BDD nodes.
@@ -25,7 +31,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "pred/analysis.h"
@@ -43,7 +48,7 @@ public:
     Classifier(Analyzer& analyzer, const std::vector<ir::PredPtr>& preds);
 
     // Indices of the predicates matching the packet / assignment, ascending.
-    // One DAG traversal; the returned set is interned (do not mutate).
+    // One DAG traversal; the returned set is the classifier's own.
     [[nodiscard]] const std::vector<Index>& classify(
         const Packet& packet) const;
     [[nodiscard]] const std::vector<Index>& classify_bits(
@@ -78,40 +83,23 @@ public:
 
 private:
     // One MTBDD node. Internal: var < kLeafVar, low/high are node ids.
-    // Leaf: var == kLeafVar, low is the interned terminal-set id.
+    // Leaf: var == kLeafVar, low is the terminal-set id, high 0.
     struct Mnode {
         int var;
         std::uint32_t low;
         std::uint32_t high;
-        friend bool operator==(const Mnode&, const Mnode&) = default;
-    };
-    struct Mnode_hash {
-        std::size_t operator()(const Mnode& n) const;
     };
     struct Group {
         bdd::Node root;
         std::vector<Index> members;
     };
+    // The construction-only tables (classifier.cpp).
+    class Builder;
     static constexpr int kLeafVar = 1 << 20;
-
-    [[nodiscard]] std::uint32_t intern_set(std::vector<Index> set);
-    [[nodiscard]] std::uint32_t leaf(std::uint32_t set_id);
-    [[nodiscard]] std::uint32_t make(int var, std::uint32_t low,
-                                     std::uint32_t high);
-    [[nodiscard]] std::uint32_t convert(
-        const bdd::Manager& m, bdd::Node n, std::uint32_t group_leaf,
-        std::unordered_map<bdd::Node, std::uint32_t>& memo);
-    [[nodiscard]] std::uint32_t merge(std::uint32_t a, std::uint32_t b);
 
     Analyzer* analyzer_;
     std::vector<Mnode> nodes_;
-    std::vector<std::vector<Index>> sets_;  // interned terminal sets
-    std::unordered_map<std::string, std::uint32_t> set_intern_;  // key: text
-    std::unordered_map<std::uint32_t, std::uint32_t> leaf_nodes_;
-    // Unique table, keyed by the full (var, low, high).
-    std::unordered_map<Mnode, std::uint32_t, Mnode_hash> unique_;
-    std::unordered_map<std::uint64_t, std::uint32_t> merge_cache_;
-    std::uint32_t empty_leaf_;
+    std::vector<std::vector<Index>> sets_;  // terminal sets, by leaf
     std::uint32_t root_;
     std::vector<Group> groups_;
     std::vector<std::size_t> group_of_;  // pred index -> group id

@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cmath>
 #include <cstdint>
+#include <stdexcept>
 
 #include "util/error.h"
 
@@ -30,7 +31,17 @@ Bandwidth parse_bandwidth(const std::string& text) {
     if (i == 0)
         throw Parse_error("bandwidth must start with a number: '" + text + "'",
                           0, 0);
-    const double value = std::stod(text.substr(0, i));
+    // The number must be consumed whole: "1.2.3" is not 1.2.
+    const std::string number = text.substr(0, i);
+    double value = 0;
+    std::size_t consumed = 0;
+    try {
+        value = std::stod(number, &consumed);
+    } catch (const std::logic_error&) {
+        consumed = 0;
+    }
+    if (consumed != number.size())
+        throw Parse_error("malformed bandwidth number: '" + text + "'", 0, 0);
     std::string unit = text.substr(i);
     // Strip surrounding whitespace in the unit.
     while (!unit.empty() && unit.front() == ' ') unit.erase(unit.begin());
@@ -59,7 +70,11 @@ Bandwidth parse_bandwidth(const std::string& text) {
     const double bps = value * scale;
     if (bps < 0 || std::isnan(bps))
         throw Parse_error("negative bandwidth: '" + text + "'", 0, 0);
-    return Bandwidth(static_cast<std::uint64_t>(std::llround(bps)));
+    // Every double below 2^64 converts exactly once rounded (past 2^53 all
+    // of them are integers); anything larger does not fit a Bandwidth.
+    if (!(bps < 0x1p64))
+        throw Parse_error("bandwidth out of range: '" + text + "'", 0, 0);
+    return Bandwidth(static_cast<std::uint64_t>(std::round(bps)));
 }
 
 std::string to_string(Bandwidth bw) {

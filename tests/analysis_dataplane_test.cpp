@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <vector>
 
@@ -93,6 +94,34 @@ max(b, 50MB/s)
 )");
     const Report report = fx.check();
     EXPECT_TRUE(report.empty()) << to_text(report);
+}
+
+// A pinned statement whose predicate matches no packet carries no traffic,
+// so class selection skips it: with its destination's access link failed,
+// only its satisfiable twin is reported.
+TEST(AnalysisDataplane, UnsatisfiablePinnedStatementIsNotAClass) {
+    const auto subjects_after_h1_link_fails = [](const char* u_predicate) {
+        Fixture fx((std::string(R"(
+[ g : eth.src = 00:00:00:00:00:01 and eth.dst = 00:00:00:00:00:02 -> .* ;
+  u : eth.src = 00:00:00:00:00:02 and eth.dst = 00:00:00:00:00:01 and )") +
+                    u_predicate + R"( -> .* ],
+min(g, 10MB/s)
+)")
+                       .c_str());
+        EXPECT_FALSE(has_errors(fx.check())) << to_text(fx.check());
+        const auto link = fx.topo.link_between(fx.topo.require("s1"),
+                                               fx.topo.require("h1"));
+        EXPECT_TRUE(link.has_value());
+        fx.topo.set_link_state(*link, false);
+        std::set<std::string> subjects;
+        for (const Diagnostic& d : fx.check())
+            if (d.severity == Severity::error) subjects.insert(d.subject);
+        return subjects;
+    };
+    EXPECT_EQ(subjects_after_h1_link_fails("tcp.dst = 80"),
+              (std::set<std::string>{"u"}));
+    EXPECT_TRUE(
+        subjects_after_h1_link_fails("tcp.dst = 80 and tcp.dst = 22").empty());
 }
 
 // PR-5 regression, re-injected: a forward rule emitted with the device

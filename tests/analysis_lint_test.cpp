@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "parser/parser.h"
 #include "topo/parse.h"
@@ -146,6 +147,50 @@ min(c, 10MB/s)
     EXPECT_EQ(find(lint_policy(policy, diamond_topology()),
                    "dead-best-effort"),
               nullptr);
+}
+
+// Path verdicts are memoized per path text; every statement sharing the
+// text still gets its own finding, subject and witness.
+TEST(AnalysisLint, SharedUnknownLocationIsReportedPerStatement) {
+    const ir::Policy policy = parse_policy(R"(
+[ a : tcp.dst = 22 -> .* nosuchnode .* ;
+  b : tcp.dst = 23 -> .* nosuchnode .* ],
+max(a, 50MB/s)
+)");
+    const Report report = lint_policy(policy, diamond_topology());
+    std::vector<std::string> subjects;
+    for (const Diagnostic& d : report) {
+        if (d.check != "unknown-location") continue;
+        subjects.push_back(d.subject);
+        EXPECT_NE(d.message.find("nosuchnode"), std::string::npos);
+    }
+    EXPECT_EQ(subjects, (std::vector<std::string>{"a", "b"}));
+}
+
+TEST(AnalysisLint, SharedHostOnlyPathIsDeadOnlyForBestEffort) {
+    const ir::Policy policy = parse_policy(R"(
+[ e1 : tcp.dst = 22 -> .* h1 .* ;
+  g : tcp.dst = 23 -> .* h1 .* ;
+  e2 : tcp.dst = 24 -> .* h1 .* ;
+  v1 : tcp.dst = 25 -> !(.*) ;
+  v2 : tcp.dst = 26 -> !(.*) ],
+min(g, 10MB/s)
+)");
+    const Report report = lint_policy(policy, diamond_topology());
+    std::vector<std::string> dead;
+    std::vector<std::string> vacuous;
+    for (const Diagnostic& d : report) {
+        if (d.check == "dead-best-effort") dead.push_back(d.subject);
+        if (d.check == "vacuous-path") {
+            vacuous.push_back(d.subject);
+            EXPECT_NE(d.witness.find(d.subject == "v1" ? "tcp.dst=25"
+                                                       : "tcp.dst=26"),
+                      std::string::npos)
+                << d.subject;
+        }
+    }
+    EXPECT_EQ(dead, (std::vector<std::string>{"e1", "e2"}));
+    EXPECT_EQ(vacuous, (std::vector<std::string>{"v1", "v2"}));
 }
 
 TEST(AnalysisLint, GuaranteeAboveCapIsConflict) {

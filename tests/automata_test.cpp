@@ -4,8 +4,12 @@
 
 #include <deque>
 #include <set>
+#include <utility>
+#include <vector>
 
+#include "core/logical.h"
 #include "parser/parser.h"
+#include "topo/generators.h"
 #include "util/error.h"
 #include "util/rng.h"
 
@@ -205,6 +209,56 @@ TEST_F(Fig2, EmptinessAndWitness) {
 TEST_F(Fig2, UnknownSymbolThrows) {
     EXPECT_THROW((void)thompson(parse_path("h1 nowhere h2"), alphabet_),
                  Policy_error);
+}
+
+// Emptiness by reachability over the raw Thompson NFA must agree with the
+// subset construction it replaced, on the k=4 fat tree's full and
+// switch-only alphabets. Host names are unknown to the switch alphabet.
+TEST(NfaEmptiness, ReachabilityAgreesWithSubsetConstruction) {
+    const topo::Topology topo = topo::fat_tree(4);
+    const Alphabet full = core::make_alphabet(topo);
+    const Alphabet switches = core::make_switch_alphabet(topo);
+    const std::vector<std::pair<const char*, bool>> corpus = {
+        {".*", false},           {".* c0 .*", false},
+        {"c0 c1 .* a1_0", false}, {"!(.*)", true},
+        {"c0 !(.*)", true},      {"!(.* | c0)", true},
+        {"!(!(.*))", false},     {"!(.* c0 .*)", false},
+        {"(!(.*))*", false},     {"!(.*) | c2", false},
+        {"h0", false},           {"h0 .* h1", false},
+        {".* h3 .*", false},     {"h0 !(.*) h1", true},
+    };
+    int checked = 0;
+    for (const Alphabet* alphabet : {&full, &switches}) {
+        for (const auto& [regex, empty] : corpus) {
+            Nfa nfa;
+            try {
+                nfa = thompson(parse_path(regex), *alphabet);
+            } catch (const Policy_error&) {
+                EXPECT_EQ(alphabet, &switches) << regex;
+                continue;
+            }
+            EXPECT_EQ(is_empty(nfa), empty) << regex;
+            EXPECT_EQ(is_empty(nfa), is_empty(determinize(remove_epsilon(nfa))))
+                << regex;
+            ++checked;
+        }
+    }
+    EXPECT_EQ(checked, 24);  // the four host expressions throw once each
+}
+
+TEST(NfaEmptiness, FollowsEpsilonEdges) {
+    // Accepting state 2 is reachable only through epsilon edges; state 4
+    // accepts but nothing reaches it.
+    Nfa nfa;
+    nfa.alphabet_size = 2;
+    nfa.start = 0;
+    nfa.edges = {{{kEpsilon, 1}}, {{kEpsilon, 2}, {0, 3}}, {}, {}, {}};
+    nfa.accepting = {false, false, true, false, true};
+    EXPECT_FALSE(is_empty(nfa));
+    EXPECT_FALSE(is_empty(determinize(remove_epsilon(nfa))));
+    nfa.accepting[2] = false;
+    EXPECT_TRUE(is_empty(nfa));
+    EXPECT_TRUE(is_empty(determinize(remove_epsilon(nfa))));
 }
 
 // Property sweep over random regexes: algebraic laws of the language

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -131,6 +133,91 @@ TEST(Classifier, CompileMemoBoundsWorkByDistinctPredicates) {
     Packet k;
     k.fields["tcp.dst"] = 8003;
     EXPECT_EQ(classifier.classify(k).size(), 100u);
+}
+
+// The flat kernel at a size that grows every construction table several
+// times: 5,000 statements over 50 overlapping predicates on four fields.
+// Each field is tested only against a pool of six values, so any packet
+// classifies like one whose fields come from the pool or one value outside
+// it, and the 7^4 = 2,401 such packets reach every combination of
+// statements that can match together.
+TEST(Classifier, FlatKernelMatchesBruteForceAtScale) {
+    struct Pool {
+        const char* field;
+        std::vector<std::string> text;    // the six pooled values
+        std::vector<std::uint64_t> value;  // the same, then one outside
+    };
+    const std::vector<Pool> pools = {
+        {"tcp.dst", {"80", "443", "22", "8080", "53", "25"},
+         {80, 443, 22, 8080, 53, 25, 9}},
+        {"tcp.src", {"1000", "1001", "1002", "1003", "1004", "1005"},
+         {1000, 1001, 1002, 1003, 1004, 1005, 7}},
+        {"ip.src",
+         {"10.0.0.1", "10.0.0.2", "10.0.0.3", "10.0.0.4", "10.0.0.5",
+          "10.0.0.6"},
+         {0x0a000001, 0x0a000002, 0x0a000003, 0x0a000004, 0x0a000005,
+          0x0a000006, 0x0a000063}},
+        {"ip.proto", {"6", "17", "1", "2", "3", "4"}, {6, 17, 1, 2, 3, 4, 5}},
+    };
+    // A fixed linear congruential stream, so the input is the same with
+    // every standard library.
+    std::uint64_t x = 12345;
+    const auto next = [&](std::uint64_t n) {
+        x = (x * 6364136223846793005ULL + 1442695040888963407ULL);
+        return static_cast<std::size_t>((x >> 33) % n);
+    };
+    const auto test = [&](std::size_t field) {
+        const Pool& pool = pools[field];
+        return std::string(pool.field) + " = " + pool.text[next(6)];
+    };
+    std::vector<ir::PredPtr> distinct;
+    for (int k = 0; k < 50; ++k) {
+        const std::size_t a = next(4);
+        const std::size_t b = (a + 1 + next(3)) % 4;
+        const std::size_t c = next(4);
+        const std::size_t d = (c + 1 + next(3)) % 4;
+        const std::string ta = test(a);
+        const std::string tb = test(b);
+        const std::string tc = test(c);
+        const std::string td = test(d);
+        distinct.push_back(parse_predicate("(" + ta + " and " + tb +
+                                           ") or (" + tc + " and !(" + td +
+                                           "))"));
+    }
+    std::vector<ir::PredPtr> preds;
+    for (int i = 0; i < 5000; ++i) preds.push_back(distinct[i % 50]);
+
+    Analyzer analyzer;
+    const Classifier classifier(analyzer, preds);
+    // Pinned: any kernel must build this same DAG, node for node.
+    EXPECT_EQ(classifier.node_count(), 61455u);
+    EXPECT_EQ(classifier.terminal_set_count(), 3925u);
+
+    std::set<std::vector<Classifier::Index>> co_matches;
+    int packets = 0;
+    for (std::size_t v0 = 0; v0 < 7; ++v0)
+        for (std::size_t v1 = 0; v1 < 7; ++v1)
+            for (std::size_t v2 = 0; v2 < 7; ++v2)
+                for (std::size_t v3 = 0; v3 < 7; ++v3) {
+                    Packet k;
+                    const std::size_t pick[4] = {v0, v1, v2, v3};
+                    for (std::size_t f = 0; f < 4; ++f)
+                        k.fields[pools[f].field] = pools[f].value[pick[f]];
+                    std::vector<bool> hit(distinct.size());
+                    for (std::size_t p = 0; p < distinct.size(); ++p)
+                        hit[p] = matches(distinct[p], k);
+                    std::vector<Classifier::Index> want;
+                    for (std::size_t i = 0; i < preds.size(); ++i)
+                        if (hit[i % 50])
+                            want.push_back(static_cast<Classifier::Index>(i));
+                    ASSERT_EQ(classifier.classify(k), want);
+                    if (!want.empty()) co_matches.insert(std::move(want));
+                    ++packets;
+                }
+    EXPECT_GE(packets, 2000);
+    EXPECT_EQ(classifier.match_sets(),
+              std::vector<std::vector<Classifier::Index>>(co_matches.begin(),
+                                                          co_matches.end()));
 }
 
 // With 1,024 needles registered first, n1023 sits on variable 1024 + 259:

@@ -401,6 +401,60 @@ TEST(Daemon, CommandGrammarRoundTrips) {
               Command::Kind::invalid);
 }
 
+TEST(Daemon, RatesTakePolicyUnitsAndRefuseOutOfRangeByToken) {
+    // The grammar used to take only <n> (Mbps) and <n>bps.
+    const Command add = daemon::parse_command(
+        "add min=5Mbps max=1.5MB/s w : ip.src = 10.0.0.1 -> .*");
+    ASSERT_EQ(add.kind, Command::Kind::add) << add.error;
+    EXPECT_EQ(add.guarantee.bps(), mbps(5).bps());
+    ASSERT_TRUE(add.cap.has_value());
+    EXPECT_EQ(add.cap->bps(), mbps(12).bps());
+    // <n>bps stays an exact integer parse past 2^53.
+    EXPECT_EQ(daemon::parse_command("bandwidth g 9007199254740993bps")
+                  .guarantee.bps(),
+              9007199254740993ULL);
+    // Each refusal names its token; the first used to read "stoull".
+    for (const std::string token :
+         {"99999999999999999999999", "18446744073709551615",
+          "99999999999999999999999bps", "99999999999999999999999Gbps",
+          "5furlongs"}) {
+        const Command c = daemon::parse_command("bandwidth g " + token);
+        EXPECT_EQ(c.kind, Command::Kind::invalid) << token;
+        EXPECT_NE(c.error.find(token), std::string::npos) << c.error;
+    }
+    Harness h;
+    const Response r =
+        h.ctl().apply_line("bandwidth g 99999999999999999999999");
+    EXPECT_FALSE(r.ok);
+    EXPECT_EQ(r.code, Refusal::parse);
+    EXPECT_NE(r.to_line().find(
+                  "reason=rate out of range: 99999999999999999999999"),
+              std::string::npos)
+        << r.to_line();
+}
+
+TEST(Daemon, AddTakesAPolicyRateUnitAndNamesABadFieldLiteral) {
+    Harness h;
+    ASSERT_TRUE(h.ctl().apply_line("remove b").ok);
+    const core::Addressing addressing(h.topo);
+    const std::string b = ir::to_string(addressing.pair_predicate(
+        h.topo.require("h2"), h.topo.require("h1")));
+    const Response added =
+        h.ctl().apply_line("add min=5Mbps b : " + b + " -> .*");
+    ASSERT_TRUE(added.ok) << added.to_line();
+    // The literal used to surface as the opaque reason "stoull".
+    for (const std::string literal : {"99999999999999999999999", "09"}) {
+        const Response r =
+            h.ctl().apply_line("add w : tcp.dst = " + literal + " -> .*");
+        EXPECT_FALSE(r.ok);
+        EXPECT_EQ(r.code, Refusal::parse);
+        EXPECT_NE(r.detail.find("invalid value '" + literal +
+                                "' for field tcp.dst"),
+                  std::string::npos)
+            << r.to_line();
+    }
+}
+
 TEST(Daemon, ResponseWireFormIsDeterministic) {
     Response ok;
     ok.ok = true;

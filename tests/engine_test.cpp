@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -20,8 +21,11 @@
 #include "core/compiler.h"
 #include "core/engine.h"
 #include "negotiator/negotiator.h"
+#include "pred/classifier.h"
 #include "topo/generators.h"
 #include "util/error.h"
+#include "util/rng.h"
+#include "util/strings.h"
 
 namespace {
 
@@ -711,6 +715,121 @@ TEST(Engine, PublishHookFiresOncePerCompletedDeltaIncludingInfeasible) {
     ASSERT_EQ(published.size(), 3u);
     EXPECT_EQ(published[1], (std::pair<std::uint64_t, bool>{2, true}));
     EXPECT_EQ(published[2], (std::pair<std::uint64_t, bool>{3, false}));
+}
+
+// ------------------------------------------------ disjointness pre-check
+
+// The reference rule: one shared DAG over every statement, where a
+// co-matched pair is an error when both statements pin the same (src, dst)
+// endpoints or either pins neither. Returns the smallest such pair.
+std::optional<std::pair<std::size_t, std::size_t>> smallest_reportable_pair(
+    const ir::Policy& policy, const topo::Topology& t) {
+    const core::Addressing addressing(t);
+    std::vector<ir::PredPtr> preds;
+    std::vector<core::Addressing::Endpoints> ends;
+    for (const ir::Statement& s : policy.statements) {
+        preds.push_back(s.predicate);
+        ends.push_back(addressing.endpoints(s.predicate));
+    }
+    pred::Analyzer analyzer;
+    const pred::Classifier classifier(analyzer, preds);
+    const auto unpinned = [](const core::Addressing::Endpoints& e) {
+        return !e.src && !e.dst;
+    };
+    std::optional<std::pair<std::size_t, std::size_t>> first;
+    for (const auto& set : classifier.match_sets())
+        for (std::size_t i = 0; i < set.size(); ++i)
+            for (std::size_t j = i + 1; j < set.size(); ++j) {
+                const auto& a = ends[set[i]];
+                const auto& b = ends[set[j]];
+                if (!unpinned(a) && !unpinned(b) &&
+                    (a.src != b.src || a.dst != b.dst))
+                    continue;
+                const std::pair<std::size_t, std::size_t> pair{set[i],
+                                                               set[j]};
+                if (!first || pair < *first) first = pair;
+            }
+    return first;
+}
+
+// Statements pinned by eth pair, by eth.src alone, or by ip pair, plus
+// unpinned ones, over four hosts and five ports: overlaps land inside
+// endpoint buckets, across them (an ip pair and an eth pair can match the
+// same packet) and against the unpinned statements.
+ir::Policy mixed_pinning_policy(const topo::Topology& t, Rng& rng) {
+    const core::Addressing addressing(t);
+    const auto hosts = t.hosts();
+    const auto host = [&] {
+        return hosts[static_cast<std::size_t>(rng.uniform(0, 3))];
+    };
+    ir::Policy policy;
+    const int statements = static_cast<int>(rng.uniform(3, 9));
+    for (int k = 0; k < statements; ++k) {
+        const std::int64_t shape = rng.uniform(0, 3);
+        const topo::NodeId src = host();
+        const topo::NodeId dst = host();
+        ir::PredPtr predicate;  // unpinned unless the shape pins
+        if (shape == 0) predicate = addressing.pair_predicate(src, dst);
+        if (shape == 1)
+            predicate = ir::pred_test("eth.src", addressing.mac(src));
+        if (shape == 2)
+            predicate =
+                ir::pred_and(ir::pred_test("ip.src", addressing.ip(src)),
+                             ir::pred_test("ip.dst", addressing.ip(dst)));
+        // Ports 80..84, or any port (5); an unpinned statement always
+        // tests one.
+        const std::int64_t port = rng.uniform(0, 5);
+        if (port < 5 || !predicate) {
+            const ir::PredPtr test = ir::pred_test(
+                "tcp.dst", static_cast<std::uint64_t>(port < 5 ? 80 + port
+                                                               : 443));
+            predicate = predicate ? ir::pred_and(predicate, test) : test;
+        }
+        ir::Statement s;
+        s.id = indexed("s", k);
+        s.predicate = predicate;
+        s.path = ir::path_any_star();
+        policy.statements.push_back(std::move(s));
+    }
+    return policy;
+}
+
+TEST(Engine, BucketedDisjointnessCheckMatchesTheSharedDagRule) {
+    const topo::Topology t = topo::fat_tree(4);
+    Rng rng(41);
+    int accepted = 0;
+    int refused = 0;
+    for (int trial = 0; trial < 120; ++trial) {
+        const ir::Policy p = mixed_pinning_policy(t, rng);
+        const auto want = smallest_reportable_pair(p, t);
+        try {
+            const Engine engine(p, t, {});
+            EXPECT_FALSE(want) << "trial " << trial << ": "
+                               << p.statements[want->first].id << " and "
+                               << p.statements[want->second].id;
+            ++accepted;
+        } catch (const Policy_error& e) {
+            ASSERT_TRUE(want) << "trial " << trial << ": " << e.what();
+            EXPECT_EQ(std::string(e.what()),
+                      "statements '" + p.statements[want->first].id +
+                          "' and '" + p.statements[want->second].id +
+                          "' have overlapping predicates")
+                << "trial " << trial;
+            ++refused;
+        }
+    }
+    // Both verdicts are exercised.
+    EXPECT_GE(accepted, 20);
+    EXPECT_GE(refused, 20);
+}
+
+TEST(Engine, AllPairsPreCheckCompilesNoPredicate) {
+    // Every all-pairs statement pins its own endpoint pair, so every bucket
+    // is a singleton and the pre-check has nothing to compile.
+    const topo::Topology t = topo::fat_tree(4);
+    const Engine engine(bench::all_pairs_policy(t, 1, mb_per_sec(5)), t, {});
+    EXPECT_EQ(engine.totals().predicate_compiles, 0);
+    EXPECT_EQ(engine.totals().bdd_nodes, 2);  // the two terminals
 }
 
 TEST(Engine, PredicateMemoryStaysFlatAcrossLongDeltaChurn) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+
 #include "ir/ast.h"
 #include "ir/fields.h"
 #include "util/error.h"
@@ -215,6 +218,34 @@ TEST(Parser, RejectsMalformedRates) {
                  Parse_error);
     EXPECT_THROW((void)parse_policy("[ x : true -> .* at max(notarate) ]"),
                  Parse_error);
+}
+
+TEST(Parser, NumericLiteralsAreReadWholeAndWithinSixtyFourBits) {
+    // Base-0 parsing read "09" as octal 0 and stopped at the '9'; the
+    // overlong literal threw std::out_of_range out of the parser.
+    for (const std::string literal : {"09", "99999999999999999999999"}) {
+        try {
+            (void)parse_policy("[x : tcp.dst = " + literal + " -> .*]");
+            ADD_FAILURE() << literal << " was accepted";
+        } catch (const Parse_error& e) {
+            EXPECT_NE(std::string(e.what()).find("invalid value '" + literal +
+                                                 "' for field tcp.dst"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    const Policy p = parse_policy("[x : tcp.dst = 0x50 -> .*]");
+    ASSERT_EQ(p.statements.front().predicate->kind, Pred_kind::test);
+    EXPECT_EQ(p.statements.front().predicate->value, 80u);
+
+    const Field port = *find_field("tcp.dst");
+    EXPECT_EQ(parse_field_value(port, "80"), 80u);
+    EXPECT_EQ(parse_field_value(port, "0x50"), 80u);
+    EXPECT_EQ(parse_field_value(port, "010"), 8u);  // C-style octal stays
+    EXPECT_FALSE(parse_field_value(port, "0x").has_value());
+    EXPECT_FALSE(parse_field_value(port, "80x").has_value());
+    const Field mac = *find_field("eth.src");
+    EXPECT_EQ(parse_field_value(mac, "18446744073709551615"), std::nullopt);
 }
 
 TEST(Parser, ErrorPositionsAreReported) {

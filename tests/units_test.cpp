@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "util/error.h"
 
 namespace merlin {
@@ -30,6 +32,24 @@ TEST(Units, RejectsMalformed) {
     EXPECT_THROW((void)parse_bandwidth("MB/s"), Parse_error);
     EXPECT_THROW((void)parse_bandwidth("10furlongs"), Parse_error);
     EXPECT_THROW((void)parse_bandwidth(""), Parse_error);
+}
+
+TEST(Units, RejectsValuesOutsideSixtyFourBits) {
+    // Both used to clamp through std::llround to 2^63 bps.
+    EXPECT_THROW((void)parse_bandwidth("99999999999999999999999Gbps"),
+                 Parse_error);
+    EXPECT_THROW((void)parse_bandwidth("18446744073709551615bps"),
+                 Parse_error);
+    // Too long for a finite double, and a number not consumed whole.
+    EXPECT_THROW((void)parse_bandwidth(std::string(400, '9') + "bps"),
+                 Parse_error);
+    EXPECT_THROW((void)parse_bandwidth("1.2.3Mbps"), Parse_error);
+    EXPECT_THROW((void)parse_bandwidth(".Mbps"), Parse_error);
+    // 2^63 and the largest double below 2^64 still fit.
+    EXPECT_EQ(parse_bandwidth("9223372036854775808bps").bps(),
+              9223372036854775808ULL);
+    EXPECT_EQ(parse_bandwidth("18446744073709549568bps").bps(),
+              18446744073709549568ULL);
 }
 
 TEST(Units, PrintingPrefersPaperConvention) {

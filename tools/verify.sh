@@ -12,8 +12,10 @@
 #     colgen/sharded solver-mode suites — plus negotiator and netsim, the
 #     layers that now hold or drive persistent engine state, the pred/bdd
 #     suites covering the shared predicate DAG and the flat BDD kernel
-#     with its lossy apply cache, and codegen/analysis, whose Incremental
-#     and Update_checker hold one predicate space across generations);
+#     with its lossy apply cache, codegen/analysis, whose Incremental
+#     and Update_checker hold one predicate space across generations, and
+#     automata/parser/ir/util, which hold the NFA emptiness check and the
+#     numeric literal and rate parsers);
 #   - a ThreadSanitizer leg over the compiler/engine/sinktree/automata
 #     suites plus sharded_test (MERLIN_THREADS forces a multi-threaded
 #     front-end), race-checking the parallel compilation fan-out, the
@@ -83,7 +85,7 @@ fi
 cmake -B build-asan -S . -DMERLIN_SANITIZE=address,undefined
 cmake --build build-asan -j "$JOBS"
 (cd build-asan && ctest --output-on-failure -j "$JOBS" \
-    -L "lp|mip|core|negotiator|netsim|testgen|daemon|pred|bdd|codegen|analysis")
+    -L "lp|mip|core|negotiator|netsim|testgen|daemon|pred|bdd|codegen|analysis|automata|parser|ir|util")
 
 # --- TSan leg: parallel front-end + daemon RCU readers under ThreadSanitizer
 cmake -B build-tsan -S . -DMERLIN_SANITIZE=thread
