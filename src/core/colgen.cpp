@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <limits>
 #include <map>
-#include <queue>
 #include <set>
 #include <utility>
 
@@ -29,48 +28,18 @@ bool edge_usable(const topo::Topology& topo, const Logical_edge& edge) {
     return edge.link == topo::kNoLink || topo.link_up(edge.link);
 }
 
-// Cost-only Dijkstra over one request's logical graph (all costs are
-// positive), skipping edges over down links. Returns the edge ids of the
-// shortest s~>t path, or nullopt when the sink is unreachable. This is
-// both the seed column of the restricted master and the per-request lower
-// bound of the sharding certificate.
+// The shortest s~>t path over one request's (positive) edge costs,
+// skipping edges over down links, as edge ids in order; nullopt when the
+// sink is unreachable. This is both the seed column of the restricted
+// master and the per-request lower bound of the sharding certificate.
 std::optional<std::vector<int>> shortest_path_edges(
     const topo::Topology& topo, const Logical_topology& logical,
     const std::vector<double>& edge_costs) {
-    const int vertices = logical.graph.vertex_count();
-    std::vector<double> dist(static_cast<std::size_t>(vertices), kInf);
-    std::vector<int> pred(static_cast<std::size_t>(vertices), -1);
-    using Item = std::pair<double, graph::Vertex>;
-    std::priority_queue<Item, std::vector<Item>, std::greater<>> queue;
-    dist[static_cast<std::size_t>(logical.source)] = 0;
-    queue.emplace(0.0, logical.source);
-    while (!queue.empty()) {
-        const auto [d, v] = queue.top();
-        queue.pop();
-        if (d > dist[static_cast<std::size_t>(v)]) continue;
-        if (v == logical.sink) break;
-        for (graph::Edge e : logical.graph.out_edges(v)) {
-            if (!edge_usable(topo, logical.edges[static_cast<std::size_t>(e)]))
-                continue;
-            const graph::Vertex to = logical.graph.target(e);
-            const double nd = d + edge_costs[static_cast<std::size_t>(e)];
-            if (nd < dist[static_cast<std::size_t>(to)]) {
-                dist[static_cast<std::size_t>(to)] = nd;
-                pred[static_cast<std::size_t>(to)] = e;
-                queue.emplace(nd, to);
-            }
-        }
-    }
-    if (dist[static_cast<std::size_t>(logical.sink)] == kInf)
-        return std::nullopt;
-    std::vector<int> edges;
-    for (graph::Vertex at = logical.sink; at != logical.source;) {
-        const int e = pred[static_cast<std::size_t>(at)];
-        edges.push_back(e);
-        at = logical.graph.source(e);
-    }
-    std::reverse(edges.begin(), edges.end());
-    return edges;
+    std::vector<double> live = edge_costs;
+    for (std::size_t e = 0; e < live.size(); ++e)
+        if (!edge_usable(topo, logical.edges[e])) live[e] = kInf;
+    return detail::tree_path(logical,
+                             detail::shortest_path_tree(logical, live));
 }
 
 double path_cost(const std::vector<int>& edges,

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <exception>
 #include <set>
+#include <string_view>
 #include <utility>
 
 #include "core/colgen.h"
@@ -134,7 +135,8 @@ void Engine::restore(const Checkpoint& saved) {
     basis_ = state.basis;
     provision_ = state.provision;
     // The skeleton may have been patched or re-encoded for the abandoned
-    // state; dropping it is always safe (lazy re-encode on the next solve).
+    // state; dropping it is always safe (lazy re-encode on the next solve,
+    // which the restored basis_ still warm-starts).
     skeleton_valid_ = false;
     bool links_differ = false;
     for (topo::LinkId l = 0; l < topo_.link_count(); ++l) {
@@ -215,7 +217,7 @@ Engine::Engine(const ir::Policy& policy, const topo::Topology& topo,
     rebuild_requests();
     timing_.lp_construction_ms = ms_since(lp_start);
     const auto solve_start = Clock::now();
-    solve_provisioning(/*try_warm=*/false);
+    solve_provisioning();
     timing_.lp_solve_ms = ms_since(solve_start);
     publish();
     sync_pred_stats();
@@ -425,7 +427,7 @@ bool Engine::mip_selected() const {
             static_cast<int>(requests_.size()) <= options_.auto_mip_limit);
 }
 
-bool Engine::solve_provisioning(bool try_warm) {
+bool Engine::solve_provisioning() {
     provision_ = {};
     if (requests_.empty()) return false;
     for (const Guaranteed_request& r : requests_)
@@ -448,20 +450,20 @@ bool Engine::solve_provisioning(bool try_warm) {
                 : provision_sharded(topo_, requests_, options_.heuristic,
                                     options_.mip, options_.jobs);
     } else if (mip_selected()) {
+        // A re-encode keeps basis_: every change of the encoding's shape
+        // clears it at the change, so what survives here (e.g. the basis
+        // restored with a checkpoint) matches requests_, and solve_encoding
+        // falls back to the shortest-path crash when it is empty.
         if (!skeleton_valid_) {
             skeleton_ =
                 encode_provisioning(topo_, requests_, options_.heuristic);
             skeleton_valid_ = true;
-            basis_ = {};
             ++totals_.lp_encodings;
         }
-        const lp::Basis* warm =
-            try_warm && options_.mip.warm_start && !basis_.empty() ? &basis_
-                                                                   : nullptr;
         lp::Basis next;
         provision_ = solve_encoding(topo_, requests_, skeleton_, options_.mip,
-                                    warm, &next);
-        warm_used = warm != nullptr && provision_.warm_started_nodes > 0;
+                                    &basis_, &next);
+        warm_used = std::string_view(provision_.root_start) == "previous";
         // Keep the previous basis on a failed solve: it may still seed the
         // re-solve after the next patch.
         if (!next.empty()) basis_ = std::move(next);
@@ -844,7 +846,7 @@ Update_result Engine::add_statement(const ir::Statement& statement,
         skeleton_valid_ = false;
         basis_ = {};
         solver_run = true;
-        solve_provisioning(/*try_warm=*/false);
+        solve_provisioning();
     } else {
         entries_.push_back(std::move(fresh));
     }
@@ -874,7 +876,7 @@ Update_result Engine::remove_statement(const std::string& id) {
         skeleton_valid_ = false;
         basis_ = {};
         solver_run = !requests_.empty();
-        solve_provisioning(/*try_warm=*/false);
+        solve_provisioning();
     }
     publish();
     guard.commit();
@@ -927,7 +929,7 @@ Update_result Engine::set_bandwidth(const std::string& id,
                 patch_request_rate(skeleton_, requests_, r);
                 ++totals_.lp_patches;
             }
-            warm = solve_provisioning(/*try_warm=*/true);
+            warm = solve_provisioning();
             if (was_feasible && provision_.feasible)
                 publish_bandwidth(index);
             else
@@ -956,7 +958,7 @@ Update_result Engine::set_bandwidth(const std::string& id,
             request_entry_.begin() + static_cast<std::ptrdiff_t>(r), index);
         skeleton_valid_ = false;
         basis_ = {};
-        solve_provisioning(/*try_warm=*/false);
+        solve_provisioning();
         publish();
         guard.commit();
     } else {
@@ -971,7 +973,7 @@ Update_result Engine::set_bandwidth(const std::string& id,
         skeleton_valid_ = false;
         basis_ = {};
         solver_run = !requests_.empty();
-        solve_provisioning(/*try_warm=*/false);
+        solve_provisioning();
         publish();
         guard.commit();
     }
@@ -1009,10 +1011,8 @@ Update_result Engine::set_link_state(topo::LinkId link, bool up,
                     ++totals_.lp_patches;
                 }
             }
-            warm = solve_provisioning(/*try_warm=*/true);
-        } else {
-            warm = solve_provisioning(/*try_warm=*/false);
         }
+        warm = solve_provisioning();
     }
     // Sink trees route over live links only: the switch graph changed, so
     // every cached tree is stale. The class NFAs are not (the alphabet is
@@ -1053,7 +1053,7 @@ Update_result Engine::recompile() {
     rebuild_requests();
     timing_.lp_construction_ms = ms_since(lp_start);
     const auto solve_start = Clock::now();
-    solve_provisioning(/*try_warm=*/false);
+    solve_provisioning();
     timing_.lp_solve_ms = ms_since(solve_start);
     publish();
     guard.commit();

@@ -269,10 +269,10 @@ private:
     [[nodiscard]] Guaranteed_request make_request(const Entry& entry);
 
     // Runs the solver over requests_, honouring Compile_options::solver
-    // selection and the greedy fallback. `try_warm` seeds branch & bound
-    // from the previous basis when the skeleton is live. Returns whether
-    // the solve warm-started.
-    bool solve_provisioning(bool try_warm);
+    // selection and the greedy fallback. The root LP starts from basis_
+    // when there is one (structural changes clear it). Returns whether
+    // the root accepted that basis.
+    bool solve_provisioning();
 
     // Rebuilds current_ from scratch (through the caches), mirroring
     // compile()'s staging and early returns exactly.

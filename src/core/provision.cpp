@@ -64,6 +64,115 @@ Provisioned_path extract_path(const Logical_topology& logical,
     return path;
 }
 
+std::vector<graph::Edge> shortest_path_tree(
+    const Logical_topology& logical, const std::vector<double>& edge_costs) {
+    const auto vertices =
+        static_cast<std::size_t>(logical.graph.vertex_count());
+    std::vector<double> dist(vertices,
+                             std::numeric_limits<double>::infinity());
+    std::vector<graph::Edge> tree(vertices, graph::kNoEdge);
+    using Item = std::pair<double, graph::Vertex>;
+    std::priority_queue<Item, std::vector<Item>, std::greater<>> queue;
+    dist[static_cast<std::size_t>(logical.source)] = 0;
+    queue.emplace(0.0, logical.source);
+    while (!queue.empty()) {
+        const auto [d, v] = queue.top();
+        queue.pop();
+        if (d > dist[static_cast<std::size_t>(v)]) continue;
+        for (graph::Edge e : logical.graph.out_edges(v)) {
+            // An absent edge (+infinity) never relaxes: d + inf < x is false.
+            const double nd = d + edge_costs[static_cast<std::size_t>(e)];
+            const auto to = static_cast<std::size_t>(logical.graph.target(e));
+            if (nd < dist[to]) {
+                dist[to] = nd;
+                tree[to] = e;
+                queue.emplace(nd, logical.graph.target(e));
+            }
+        }
+    }
+    return tree;
+}
+
+std::optional<std::vector<int>> tree_path(
+    const Logical_topology& logical, const std::vector<graph::Edge>& tree) {
+    if (tree[static_cast<std::size_t>(logical.sink)] == graph::kNoEdge)
+        return std::nullopt;
+    std::vector<int> edges;
+    for (graph::Vertex at = logical.sink; at != logical.source;) {
+        const graph::Edge e = tree[static_cast<std::size_t>(at)];
+        edges.push_back(e);
+        at = logical.graph.source(e);
+    }
+    std::reverse(edges.begin(), edges.end());
+    return edges;
+}
+
+lp::Basis crash_basis(const topo::Topology& topo,
+                      const std::vector<Guaranteed_request>& requests,
+                      const Mip_encoding& encoding) {
+    const lp::Problem& lp = encoding.problem.relaxation();
+    lp::Basis basis;
+    basis.basic.assign(static_cast<std::size_t>(lp.constraint_count()), -1);
+    basis.at_upper.assign(static_cast<std::size_t>(lp.basis_width()), 0);
+    std::vector<double> load(static_cast<std::size_t>(topo.link_count()), 0.0);
+    // encode_provisioning lays the flow rows (1) out request by request,
+    // one per logical vertex, from row 0.
+    int first_row = 0;
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+        const Logical_topology& logical = requests[i].logical;
+        const std::vector<int>& vars = encoding.edge_vars[i];
+        std::vector<double> costs(vars.size());
+        for (std::size_t e = 0; e < vars.size(); ++e)
+            costs[e] = lp.upper(vars[e]) == 0.0
+                           ? std::numeric_limits<double>::infinity()
+                           : lp.cost(vars[e]);
+        const std::vector<graph::Edge> tree =
+            shortest_path_tree(logical, costs);
+        const std::optional<std::vector<int>> path = tree_path(logical, tree);
+        if (!path.has_value()) return {};
+        for (graph::Vertex v = 0; v < logical.graph.vertex_count(); ++v)
+            if (const graph::Edge e = tree[static_cast<std::size_t>(v)];
+                e != graph::kNoEdge)
+                basis.basic[static_cast<std::size_t>(first_row + v)] =
+                    vars[static_cast<std::size_t>(e)];
+        first_row += logical.graph.vertex_count();
+        const double rate = to_mbps(requests[i].rate);
+        for (int e : *path)
+            if (const topo::LinkId link =
+                    logical.edges[static_cast<std::size_t>(e)].link;
+                link != topo::kNoLink)
+                load[static_cast<std::size_t>(link)] += rate;
+    }
+    if (topo.link_count() == 0) return basis;
+
+    topo::LinkId worst_ratio = 0;
+    topo::LinkId worst_load = 0;
+    const auto ratio = [&](topo::LinkId link) {
+        return load[static_cast<std::size_t>(link)] /
+               to_mbps(topo.link(link).capacity);
+    };
+    for (topo::LinkId link = 0; link < topo.link_count(); ++link) {
+        const auto l = static_cast<std::size_t>(link);
+        if (ratio(link) > ratio(worst_ratio)) worst_ratio = link;
+        if (load[l] > load[static_cast<std::size_t>(worst_load)])
+            worst_load = link;
+        // Rows (3) and (4) follow each link's row (2).
+        const int row = encoding.link_row[l];
+        basis.basic[static_cast<std::size_t>(row)] = encoding.link_var[l];
+        basis.basic[static_cast<std::size_t>(row + 1)] =
+            lp.slack_column(row + 1);
+        basis.basic[static_cast<std::size_t>(row + 2)] =
+            lp.slack_column(row + 2);
+    }
+    basis.basic[static_cast<std::size_t>(
+        encoding.link_row[static_cast<std::size_t>(worst_ratio)] + 1)] =
+        encoding.r_max_var;
+    basis.basic[static_cast<std::size_t>(
+        encoding.link_row[static_cast<std::size_t>(worst_load)] + 2)] =
+        encoding.big_r_max_var;
+    return basis;
+}
+
 // Computes the achieved r_max / R_max from the selected reservations.
 // Rates are accumulated exactly in integer bps — converting through Mbps
 // doubles and truncating back used to underreport R_max by up to 1 bps.
@@ -210,9 +319,11 @@ Mip_encoding encode_provisioning(const topo::Topology& topo,
     out.big_r_max_var =
         problem.add_continuous(0.0, 0.0, lp::kInfinity);  // in Mbps
     out.link_row.assign(static_cast<std::size_t>(topo.link_count()), -1);
+    out.link_var.assign(static_cast<std::size_t>(topo.link_count()), -1);
     for (topo::LinkId link = 0; link < topo.link_count(); ++link) {
         // (5) is the upper bound 1 here.
         const int r_uv = problem.add_continuous(0.0, 0.0, 1.0);
+        out.link_var[static_cast<std::size_t>(link)] = r_uv;
         const double capacity_mbps = to_mbps(topo.link(link).capacity);
         expects(capacity_mbps > 0, "links must have positive capacity");
 
@@ -297,8 +408,19 @@ Provision_result solve_encoding(const topo::Topology& topo,
                                 const lp::Basis* root_warm,
                                 lp::Basis* basis_out) {
     Provision_result out;
-    mip::Solution solution =
-        mip::solve(encoding.problem, options, root_warm);
+    // Root start order: the caller's basis, else the shortest-path crash
+    // (mip::solve ignores both when warm_start is off, and an empty crash
+    // leaves the two-phase cold start).
+    lp::Basis crash;
+    const lp::Basis* start = root_warm;
+    const char* start_kind = "previous";
+    if ((start == nullptr || start->empty()) && options.warm_start) {
+        crash = detail::crash_basis(topo, requests, encoding);
+        start = &crash;
+        start_kind = "crash";
+    }
+    mip::Solution solution = mip::solve(encoding.problem, options, start);
+    out.root_start = solution.root_warm_started ? start_kind : "cold";
     out.solver = "mip";
     out.variables = encoding.problem.variable_count();
     out.constraints = encoding.problem.relaxation().constraint_count();
@@ -403,35 +525,16 @@ Provision_result provision_greedy(
             return 1.0;
         };
 
-        // Dijkstra from source to sink.
-        const auto vertex_count =
-            static_cast<std::size_t>(logical.graph.vertex_count());
-        std::vector<double> dist(vertex_count,
-                                 std::numeric_limits<double>::infinity());
-        std::vector<graph::Edge> parent(vertex_count, graph::kNoEdge);
-        using Item = std::pair<double, graph::Vertex>;
-        std::priority_queue<Item, std::vector<Item>, std::greater<>> queue;
-        dist[static_cast<std::size_t>(logical.source)] = 0;
-        queue.emplace(0.0, logical.source);
-        while (!queue.empty()) {
-            const auto [d, v] = queue.top();
-            queue.pop();
-            if (d > dist[static_cast<std::size_t>(v)]) continue;
-            if (v == logical.sink) break;
-            for (graph::Edge e : logical.graph.out_edges(v)) {
-                const double c = edge_cost(e);
-                if (c < 0) continue;  // blocked by capacity
-                const graph::Vertex w = logical.graph.target(e);
-                if (d + c < dist[static_cast<std::size_t>(w)]) {
-                    dist[static_cast<std::size_t>(w)] = d + c;
-                    parent[static_cast<std::size_t>(w)] = e;
-                    queue.emplace(d + c, w);
-                }
-            }
+        std::vector<double> costs(
+            static_cast<std::size_t>(logical.graph.edge_count()));
+        for (graph::Edge e = 0; e < logical.graph.edge_count(); ++e) {
+            const double c = edge_cost(e);
+            costs[static_cast<std::size_t>(e)] =
+                c < 0 ? std::numeric_limits<double>::infinity() : c;
         }
-        if (parent[static_cast<std::size_t>(logical.sink)] ==
-                graph::kNoEdge &&
-            logical.sink != logical.source) {
+        const std::optional<std::vector<int>> path = detail::tree_path(
+            logical, detail::shortest_path_tree(logical, costs));
+        if (!path.has_value()) {
             // Greedy failure (not a proof of infeasibility).
             out.diagnostic = "greedy could not route request '" + request.id +
                              "' (" + std::to_string(rate / 1'000'000) +
@@ -443,11 +546,7 @@ Provision_result provision_greedy(
         // Commit the path.
         std::vector<bool> used(
             static_cast<std::size_t>(logical.graph.edge_count()), false);
-        for (graph::Vertex v = logical.sink; v != logical.source;) {
-            const graph::Edge e = parent[static_cast<std::size_t>(v)];
-            used[static_cast<std::size_t>(e)] = true;
-            v = logical.graph.source(e);
-        }
+        for (int e : *path) used[static_cast<std::size_t>(e)] = true;
         out.paths[i] =
             detail::extract_path(logical, std::move(used), request.id,
                                  request.rate);

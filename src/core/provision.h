@@ -15,6 +15,7 @@
 // gratuitous cycles and ties break toward short paths.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -75,6 +76,13 @@ struct Provision_result {
     long long simplex_iterations = 0;
     int lp_factorizations = 0;
     int warm_started_nodes = 0;
+    // Which basis the root LP of the full encoding started from:
+    // "previous" (the caller's basis from an earlier solve), "crash" (the
+    // per-request shortest-path basis of detail::crash_basis) or "cold"
+    // (two-phase from the all-artificial basis: no crash was possible, the
+    // offered basis was rejected, or mip::Options::warm_start is off).
+    // "none" when no full-encoding root LP ran (greedy, certified colgen).
+    const char* root_start = "none";
     // Heuristic objective value of the selected solution (0 when
     // infeasible or solved greedily). All solver modes minimize the same
     // function, so values are directly comparable across full / colgen /
@@ -105,6 +113,8 @@ struct Mip_encoding {
     // Physical link -> row index of its constraint (2) (the r_uv * c_uv
     // bookkeeping equality) inside `problem`.
     std::vector<int> link_row;
+    // Physical link -> its r_uv variable (the row-(2) reserved fraction).
+    std::vector<int> link_var;
     // Per request, per logical edge: the deterministic objective jitter
     // drawn for the weighted-shortest-path cost of that edge (0 for edges
     // that cross no physical link). Recorded so a rate patch reproduces the
@@ -131,9 +141,12 @@ void patch_request_rate(Mip_encoding& encoding,
                         const std::vector<Guaranteed_request>& requests,
                         std::size_t r);
 
-// Solves a live encoding (optionally warm-starting branch & bound from
-// `root_warm`) and extracts paths/maxima/stats. `basis_out`, when non-null,
-// receives the incumbent's LP basis for the next warm start.
+// Solves a live encoding and extracts paths/maxima/stats. The root LP
+// starts from `root_warm` when it is non-empty, else from the
+// shortest-path crash basis, else (no crash possible, or a basis rejected)
+// two-phase cold; Provision_result::root_start says which. `basis_out`,
+// when non-null, receives the incumbent's LP basis for the next warm
+// start.
 [[nodiscard]] Provision_result solve_encoding(
     const topo::Topology& topo, const std::vector<Guaranteed_request>& requests,
     const Mip_encoding& encoding, const mip::Options& options,
@@ -167,6 +180,36 @@ namespace detail {
 // colgen certificate sound) across modes.
 [[nodiscard]] std::vector<std::vector<double>> request_costs(
     const std::vector<Guaranteed_request>& requests, Heuristic heuristic);
+
+// Dijkstra from `logical.source` over non-negative per-edge costs, where
+// an edge of cost +infinity is absent. Returns each vertex's tree edge
+// (graph::kNoEdge at the source and at every vertex the tree misses).
+// Relaxation is strict, so among equal-cost paths the first found stays.
+// The one shortest-path routine behind the crash basis, colgen's seed
+// columns and the greedy provisioner.
+[[nodiscard]] std::vector<graph::Edge> shortest_path_tree(
+    const Logical_topology& logical, const std::vector<double>& edge_costs);
+
+// The tree's source ~> sink path as edge ids in order, or nullopt when the
+// tree misses the sink.
+[[nodiscard]] std::optional<std::vector<int>> tree_path(
+    const Logical_topology& logical, const std::vector<graph::Edge>& tree);
+
+// A starting basis for the root LP of a live encoding, built from one
+// shortest-path tree per request over the encoding's current objective
+// costs (edges the encoding fixes at zero are skipped). Each tree edge is
+// basic in its target vertex's flow row, the source row and every row the
+// tree misses keep the zero-pinned artificial (-1), each link's r_uv is
+// basic in its row (2), and rows (3)/(4) keep their slacks except that
+// r_max takes row (3) of the link with the largest load ratio and R_max
+// row (4) of the most loaded link, the loads being those of the tree
+// paths. The matrix is block lower-triangular, so it always factorizes;
+// it is primal feasible exactly when no link is loaded past capacity, and
+// under weighted-shortest-path it is then already optimal. Empty when a
+// request's sink is unreachable.
+[[nodiscard]] lp::Basis crash_basis(
+    const topo::Topology& topo, const std::vector<Guaranteed_request>& requests,
+    const Mip_encoding& encoding);
 
 // Walks the selected edges from source to sink, collecting the location
 // word, physical path, crossed links and function placements.

@@ -24,6 +24,7 @@ void Problem::add_constraint(Sense sense, double rhs,
                              std::vector<std::pair<int, double>> coefficients) {
     const int row = static_cast<int>(rhs_.size());
     sense_.push_back(sense);
+    slack_rank_.push_back(sense == Sense::equal ? -1 : slack_count_++);
     rhs_.push_back(rhs);
     for (const auto& [var, coef] : coefficients) {
         expects(var >= 0 && var < variable_count(),

@@ -53,7 +53,9 @@ struct Options {
 // recreates it. `at_upper[j]` records which bound nonbasic column j sits
 // at. The slack layout depends only on the constraint senses, so a
 // snapshot stays valid across bound/cost changes to the same problem —
-// exactly the branch & bound use case.
+// exactly the branch & bound use case. Problem::slack_column and
+// Problem::basis_width expose that layout for callers that build a basis
+// by hand (core's shortest-path crash basis).
 struct Basis {
     std::vector<int> basic;
     std::vector<std::uint8_t> at_upper;
@@ -115,6 +117,19 @@ public:
         return static_cast<int>(rhs_.size());
     }
 
+    // The column of row `row`'s slack in a Basis (-1 for an equality row):
+    // slacks follow every structural variable, one per inequality row in
+    // row order. With basis_width() this is the whole column layout, so a
+    // caller can build a Basis without re-deriving it.
+    [[nodiscard]] int slack_column(int row) const {
+        const int rank = slack_rank_[static_cast<std::size_t>(row)];
+        return rank < 0 ? -1 : variable_count() + rank;
+    }
+    // Structural plus slack columns: the length of Basis::at_upper.
+    [[nodiscard]] int basis_width() const {
+        return variable_count() + slack_count_;
+    }
+
     [[nodiscard]] double cost(int variable) const {
         return cost_[static_cast<std::size_t>(variable)];
     }
@@ -151,6 +166,8 @@ private:
     std::vector<double> upper_;
     std::vector<std::vector<RowEntry>> columns_;  // per variable
     std::vector<Sense> sense_;
+    std::vector<int> slack_rank_;  // per row: index among slacks, or -1
+    int slack_count_ = 0;
     std::vector<double> rhs_;
     std::vector<std::vector<std::pair<int, double>>> rows_;  // (var, coef)
 };

@@ -103,6 +103,8 @@ Solution solve(const Problem& problem, const Options& options,
         incumbent.simplex_iterations += lp_solution.stats.iterations;
         incumbent.lp_factorizations += lp_solution.stats.factorizations;
         if (lp_solution.stats.warm_started) ++incumbent.warm_started_nodes;
+        if (nodes == 1)
+            incumbent.root_warm_started = lp_solution.stats.warm_started;
         if (lp_solution.status == lp::Status::infeasible) continue;
         if (lp_solution.status != lp::Status::optimal) {
             // The relaxation was not decided (iteration limit): this node's

@@ -34,8 +34,9 @@ struct Options {
     // Relative optimality gap at which a node is pruned against the
     // incumbent.
     double gap_tol = 1e-9;
-    // Warm-start each node's LP from the parent's optimal basis (disable to
-    // measure the cold-start baseline).
+    // Warm-start each node's LP from the parent's optimal basis and the
+    // root from `root_warm` (disable to measure the two-phase cold-start
+    // baseline: every basis, the root's included, is then ignored).
     bool warm_start = true;
     lp::Options lp;
 };
@@ -50,6 +51,10 @@ struct Solution {
     long long simplex_iterations = 0;
     int lp_factorizations = 0;
     int warm_started_nodes = 0;
+    // Whether the root LP accepted `root_warm` and skipped phase 1 (false
+    // when none was given, when warm_start is off, or when the basis was
+    // rejected and the root ran the two-phase cold start).
+    bool root_warm_started = false;
     // LP basis at the incumbent (empty when no usable solution, or when the
     // incumbent's LP could not export one). Feed it back as `root_warm` on a
     // re-solve after bound/coefficient patches: the provisioning engine's

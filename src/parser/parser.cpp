@@ -2,6 +2,7 @@
 
 #include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "ir/fields.h"
@@ -13,6 +14,10 @@ namespace merlin::parser {
 namespace {
 
 using namespace merlin::ir;
+
+// Open groups and negations a parse may nest. Far beyond any real policy,
+// and shallow enough for every recursive pass over the AST.
+constexpr int kMaxNesting = 256;
 
 bool is_keyword(const std::string& text) {
     static const std::set<std::string> kw{"and", "or",  "true",    "false",
@@ -101,6 +106,25 @@ private:
         throw Parse_error(message, lexer_.peek().line, lexer_.peek().column);
     }
 
+    // Counts one level of the recursive productions (a parenthesized
+    // group or a `!`) for its lifetime; built while the opening token is
+    // still next, so a refusal points at it. Past kMaxNesting levels the
+    // parse is refused, where recursing on would overflow the stack.
+    class Nesting {
+    public:
+        explicit Nesting(Parser& parser) : parser_(parser) {
+            if (++parser_.depth_ > kMaxNesting)
+                parser_.fail("nesting deeper than " +
+                             std::to_string(kMaxNesting) + " levels");
+        }
+        Nesting(const Nesting&) = delete;
+        Nesting& operator=(const Nesting&) = delete;
+        ~Nesting() { --parser_.depth_; }
+
+    private:
+        Parser& parser_;
+    };
+
     // ---------------------------------------------------------- predicates
     PredPtr predicate() { return pred_or_level(); }
 
@@ -118,12 +142,18 @@ private:
     }
 
     PredPtr pred_not_level() {
-        if (accept(Token_kind::bang)) return pred_not(pred_not_level());
+        if (at(Token_kind::bang)) {
+            const Nesting level(*this);
+            lexer_.next();
+            return pred_not(pred_not_level());
+        }
         return pred_atom();
     }
 
     PredPtr pred_atom() {
-        if (accept(Token_kind::lparen)) {
+        if (at(Token_kind::lparen)) {
+            const Nesting level(*this);
+            lexer_.next();
             PredPtr inner = predicate();
             expect(Token_kind::rparen, "to close predicate");
             return inner;
@@ -193,7 +223,9 @@ private:
     }
 
     PathPtr path_unary_level() {
-        if (accept(Token_kind::bang)) {
+        if (at(Token_kind::bang)) {
+            const Nesting level(*this);
+            lexer_.next();
             PathPtr inner = path_unary_level();
             return path_not(inner);
         }
@@ -204,7 +236,9 @@ private:
 
     PathPtr path_atom() {
         if (accept(Token_kind::dot)) return path_any();
-        if (accept(Token_kind::lparen)) {
+        if (at(Token_kind::lparen)) {
+            const Nesting level(*this);
+            lexer_.next();
             PathPtr inner = path();
             expect(Token_kind::rparen, "to close path expression");
             return inner;
@@ -232,12 +266,18 @@ private:
     }
 
     FormulaPtr formula_not_level() {
-        if (accept(Token_kind::bang)) return formula_not(formula_not_level());
+        if (at(Token_kind::bang)) {
+            const Nesting level(*this);
+            lexer_.next();
+            return formula_not(formula_not_level());
+        }
         return formula_atom();
     }
 
     FormulaPtr formula_atom() {
-        if (accept(Token_kind::lparen)) {
+        if (at(Token_kind::lparen)) {
+            const Nesting level(*this);
+            lexer_.next();
             FormulaPtr inner = formula();
             expect(Token_kind::rparen, "to close formula");
             return inner;
@@ -438,6 +478,7 @@ private:
     Lexer lexer_;
     std::map<std::string, std::vector<std::string>> sets_;
     int generated_counter_ = 0;
+    int depth_ = 0;  // open Nesting levels
 };
 
 }  // namespace

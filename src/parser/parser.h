@@ -17,6 +17,9 @@
 // statements are named g0, g1, ... and their predicates constrain
 // eth.src/eth.dst for MAC literals or ip.src/ip.dst for IPv4 literals.
 // Multiple bracket groups are concatenated; multiple formulas are conjoined.
+// Parenthesized groups and `!` negations nest at most 256 deep in any
+// predicate, path or formula; deeper input is refused with a Parse_error
+// naming the limit and the position, instead of overflowing the stack.
 #pragma once
 
 #include <string>

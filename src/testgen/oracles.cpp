@@ -866,55 +866,64 @@ std::optional<std::string> check_solvers(
         }
     }
 
-    // Warm-started re-solve of the same encoding must land on the cold
-    // optimum exactly (the engine's bandwidth fast path depends on it).
+    // The cold anchor is a true two-phase solve (warm_start = false
+    // ignores every root basis). The default solve, which starts from the
+    // shortest-path crash basis, and a re-solve warm-started from its
+    // basis (the engine's bandwidth fast path) must both land on the
+    // anchor's optimum: the same verdict and the same paths, or paths that
+    // tie exactly at jitter resolution as in describe_difference.
     core::Mip_encoding encoding =
         core::encode_provisioning(topo, requests, options.heuristic);
-    lp::Basis basis;
-    const core::Provision_result cold = core::solve_encoding(
-        topo, requests, encoding, options.mip, nullptr, &basis);
+    mip::Options two_phase = options.mip;
+    two_phase.warm_start = false;
+    const core::Provision_result cold =
+        core::solve_encoding(topo, requests, encoding, two_phase);
     // A node-limit-truncated branch & bound keeps an exploration-order-
-    // dependent incumbent; warm-vs-cold equality is only a theorem for
-    // solves that ran to completion.
+    // dependent incumbent; start-independence is only a theorem for solves
+    // that ran to completion.
     if (cold.mip_nodes >= options.mip.max_nodes) return std::nullopt;
-    if (!basis.empty()) {
-        const core::Provision_result warm = core::solve_encoding(
-            topo, requests, encoding, options.mip, &basis, nullptr);
-        if (warm.mip_nodes >= options.mip.max_nodes) return std::nullopt;
-        if (cold.feasible != warm.feasible)
-            return fail("warm-vs-cold", "feasibility differs");
-        if (cold.feasible) {
-            if (cold.paths.size() != warm.paths.size())
-                return fail("warm-vs-cold", "path count differs");
-            // Exact jitter-sum ties between optimal vertices are legal here
-            // exactly as in describe_difference: the warm solve may stop on
-            // the other optimum, so path (and hence maxima) divergence is
-            // accepted only as a proven tie.
-            bool tied = false;
-            for (std::size_t i = 0; i < cold.paths.size(); ++i) {
-                if (!diff_path(cold.paths[i], warm.paths[i], "")) continue;
-                const ir::PathPtr* expression = nullptr;
-                for (const Statement_spec& spec : statements)
-                    if (spec.stmt.id == cold.paths[i].id)
-                        expression = &spec.stmt.path;
-                if (expression == nullptr ||
-                    !proven_tie(cold.paths[i], warm.paths[i], *expression,
-                                topo))
-                    return diff_path(cold.paths[i], warm.paths[i],
-                                     "warm-vs-cold path");
-                tied = true;
-            }
-            if (!tied) {
-                if (cold.r_max != warm.r_max)
-                    return fail("warm-vs-cold",
-                                "r_max " + std::to_string(cold.r_max) +
-                                    " vs " + std::to_string(warm.r_max));
-                if (cold.big_r_max != warm.big_r_max)
-                    return fail("warm-vs-cold", "R_max differs");
-            }
+    const auto against_cold =
+        [&](const char* what,
+            const core::Provision_result& other) -> std::optional<std::string> {
+        if (cold.feasible != other.feasible ||
+            cold.proven_infeasible != other.proven_infeasible)
+            return fail(what, "verdict differs");
+        if (!cold.feasible) return std::nullopt;
+        if (cold.paths.size() != other.paths.size())
+            return fail(what, "path count differs");
+        bool tied = false;
+        for (std::size_t i = 0; i < cold.paths.size(); ++i) {
+            if (!diff_path(cold.paths[i], other.paths[i], "")) continue;
+            const ir::PathPtr* expression = nullptr;
+            for (const Statement_spec& spec : statements)
+                if (spec.stmt.id == cold.paths[i].id)
+                    expression = &spec.stmt.path;
+            if (expression == nullptr ||
+                !proven_tie(cold.paths[i], other.paths[i], *expression, topo))
+                return diff_path(cold.paths[i], other.paths[i],
+                                 std::string(what) + " path");
+            tied = true;
         }
-    }
-    return std::nullopt;
+        // Tied paths may load different links, so the maxima may move.
+        if (!tied) {
+            if (cold.r_max != other.r_max)
+                return fail(what, "r_max " + std::to_string(cold.r_max) +
+                                      " vs " + std::to_string(other.r_max));
+            if (cold.big_r_max != other.big_r_max)
+                return fail(what, "R_max differs");
+        }
+        return std::nullopt;
+    };
+    lp::Basis basis;
+    const core::Provision_result crash = core::solve_encoding(
+        topo, requests, encoding, options.mip, nullptr, &basis);
+    if (crash.mip_nodes >= options.mip.max_nodes) return std::nullopt;
+    if (auto d = against_cold("crash-vs-cold", crash)) return d;
+    if (basis.empty()) return std::nullopt;
+    const core::Provision_result warm = core::solve_encoding(
+        topo, requests, encoding, options.mip, &basis, nullptr);
+    if (warm.mip_nodes >= options.mip.max_nodes) return std::nullopt;
+    return against_cold("warm-vs-cold", warm);
 }
 
 // --------------------------------------------------------------- diff oracle

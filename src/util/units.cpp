@@ -3,9 +3,11 @@
 #include <cctype>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 
 #include "util/error.h"
+#include "util/strings.h"
 
 namespace merlin {
 namespace {
@@ -75,6 +77,21 @@ Bandwidth parse_bandwidth(const std::string& text) {
     if (!(bps < 0x1p64))
         throw Parse_error("bandwidth out of range: '" + text + "'", 0, 0);
     return Bandwidth(static_cast<std::uint64_t>(std::round(bps)));
+}
+
+Bandwidth parse_whole_mbps(const std::string& text) {
+    // The largest whole Mbps whose bps still fit a Bandwidth.
+    constexpr std::uint64_t kMaxMbps =
+        std::numeric_limits<std::uint64_t>::max() / 1'000'000;
+    const auto value = parse_whole_int(text);
+    if (!value.has_value() && !text.empty() &&
+        text.find_first_not_of("0123456789") == std::string::npos)
+        throw Error("rate out of range: " + text);  // past long long
+    if (!value.has_value() || *value < 0)
+        throw Error("malformed rate (whole Mbps expected): " + text);
+    if (static_cast<std::uint64_t>(*value) > kMaxMbps)
+        throw Error("rate out of range: " + text);
+    return mbps(static_cast<std::uint64_t>(*value));
 }
 
 std::string to_string(Bandwidth bw) {

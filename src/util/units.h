@@ -71,6 +71,13 @@ private:
 // Throws Parse_error on malformed input.
 [[nodiscard]] Bandwidth parse_bandwidth(const std::string& text);
 
+// Parses a whole number of Mbps ("40"), the rate form of the `--updates`
+// scripts that merlinc and merlin-verify replay. Throws Error: "malformed
+// rate (whole Mbps expected): <token>" for anything but a whole
+// non-negative number, and "rate out of range: <token>" for a rate whose
+// bps do not fit 64 bits.
+[[nodiscard]] Bandwidth parse_whole_mbps(const std::string& text);
+
 // Renders a bandwidth using the largest exact decimal unit, e.g. "50MB/s"
 // round-trips; falls back to "<n>bps".
 [[nodiscard]] std::string to_string(Bandwidth bw);

@@ -455,6 +455,32 @@ TEST(Daemon, AddTakesAPolicyRateUnitAndNamesABadFieldLiteral) {
     }
 }
 
+TEST(Daemon, DeeplyNestedAddIsRefusedAndTheControlPlaneLives) {
+    // 100,000 nested parentheses on one `add` line used to overflow the
+    // parser's stack and take the daemon, and every tenant, down.
+    Harness h;
+    ASSERT_TRUE(h.ctl().apply_line("remove b").ok);
+    const std::uint64_t generation = h.ctl().generation();
+    const auto before = h.ctl().snapshot();
+    const Response r = h.ctl().apply_line(
+        "add w : " + std::string(100'000, '(') + "tcp.dst = 80" +
+        std::string(100'000, ')') + " -> .*");
+    EXPECT_FALSE(r.ok);
+    EXPECT_EQ(r.code, Refusal::parse);
+    EXPECT_NE(r.detail.find("nesting deeper than 256 levels"),
+              std::string::npos)
+        << r.to_line();
+    EXPECT_EQ(h.ctl().generation(), generation);
+    EXPECT_EQ(h.ctl().snapshot().get(), before.get());
+
+    const core::Addressing addressing(h.topo);
+    const std::string b = ir::to_string(addressing.pair_predicate(
+        h.topo.require("h2"), h.topo.require("h1")));
+    const Response next = h.ctl().apply_line("add b : " + b + " -> .*");
+    ASSERT_TRUE(next.ok) << next.to_line();
+    EXPECT_EQ(next.generation, generation + 1);
+}
+
 TEST(Daemon, ResponseWireFormIsDeterministic) {
     Response ok;
     ok.ok = true;

@@ -697,6 +697,36 @@ TEST(Engine, CheckpointRestoreRewindsEverythingAndFiresNoHook) {
     expect_matches_fresh_compile(engine, options);
 }
 
+TEST(Engine, RestoredBasisWarmStartsTheLazyReEncode) {
+    // A refused delta is rewound with restore(), which drops the LP
+    // skeleton but brings the basis back. The next solve re-encodes; it
+    // must still start from that basis, not from scratch.
+    const topo::Topology t = diamond();
+    const core::Compile_options options = mip_options();
+    Engine engine(diamond_policy(t, mbps(50)), t, options);
+
+    const Engine::Checkpoint saved = engine.checkpoint();
+    // 600 Mbps exceeds both disjoint paths.
+    ASSERT_FALSE(engine.set_bandwidth("g", mbps(600)).feasible);
+    engine.restore(saved);
+    const Update_result retune = engine.set_bandwidth("g", mbps(120));
+    ASSERT_TRUE(retune.feasible);
+    EXPECT_EQ(retune.work.lp_encodings, 1);
+    EXPECT_TRUE(retune.warm_started);
+    EXPECT_STREQ(engine.current().provision.root_start, "previous");
+    expect_matches_fresh_compile(engine, options);
+
+    // A link delta after a refusal re-encodes and warm-starts the same way.
+    const Engine::Checkpoint again = engine.checkpoint();
+    ASSERT_FALSE(engine.set_bandwidth("g", mbps(600)).feasible);
+    engine.restore(again);
+    const Update_result failed = engine.fail_link("s1", "s2");
+    ASSERT_TRUE(failed.feasible);
+    EXPECT_EQ(failed.work.lp_encodings, 1);
+    EXPECT_TRUE(failed.warm_started);
+    expect_matches_fresh_compile(engine, options);
+}
+
 TEST(Engine, PublishHookFiresOncePerCompletedDeltaIncludingInfeasible) {
     const topo::Topology t = diamond();
     const core::Compile_options options = mip_options();

@@ -27,6 +27,46 @@ TEST(Lp, TwoVariableTextbook) {
     EXPECT_LE(p.violation(s.x), 1e-6);
 }
 
+TEST(Lp, SlackColumnMatchesTheSolversBasisLayout) {
+    // Rows of all three senses, and a variable added after constraints:
+    // slacks sit after every structural, in row order, none for `=`.
+    // min x + y + z  s.t.  x + y <= 10, x - y = 2, y >= 1, x + z <= 20
+    // => x = 3, y = 1, z = 0; rows 0 and 3 are slack.
+    Problem p;
+    const int x = p.add_variable(1, 0, kInfinity);
+    const int y = p.add_variable(1, 0, kInfinity);
+    p.add_constraint(Sense::less_equal, 10, {{x, 1}, {y, 1}});
+    p.add_constraint(Sense::equal, 2, {{x, 1}, {y, -1}});
+    p.add_constraint(Sense::greater_equal, 1, {{y, 1}});
+    const int z = p.add_variable(1, 0, kInfinity);
+    p.add_constraint(Sense::less_equal, 20, {{x, 1}, {z, 1}});
+    EXPECT_EQ(p.slack_column(0), 3);
+    EXPECT_EQ(p.slack_column(1), -1);
+    EXPECT_EQ(p.slack_column(2), 4);
+    EXPECT_EQ(p.slack_column(3), 5);
+    EXPECT_EQ(p.basis_width(), 6);
+
+    // The exported basis uses the same columns: the two loose rows keep
+    // their own slacks basic.
+    const Solution s = solve(p);
+    ASSERT_TRUE(s.optimal());
+    EXPECT_NEAR(s.objective, 4, 1e-9);
+    ASSERT_EQ(static_cast<int>(s.basis.at_upper.size()), p.basis_width());
+    EXPECT_EQ(s.basis.basic[0], p.slack_column(0));
+    EXPECT_EQ(s.basis.basic[3], p.slack_column(3));
+
+    // And a basis built by hand from the accessor warm-starts the solver
+    // straight into phase 2.
+    Basis hand;
+    hand.basic = {p.slack_column(0), x, y, p.slack_column(3)};
+    hand.at_upper.assign(static_cast<std::size_t>(p.basis_width()), 0);
+    const Solution warm = solve(p, {}, &hand);
+    ASSERT_TRUE(warm.optimal());
+    EXPECT_TRUE(warm.stats.warm_started);
+    EXPECT_EQ(warm.stats.phase1_iterations, 0);
+    EXPECT_NEAR(warm.objective, 4, 1e-9);
+}
+
 TEST(Lp, EqualityConstraints) {
     // min x + 2y  s.t.  x + y = 10, x - y = 2  =>  x=6, y=4, obj=14.
     Problem p;

@@ -4,6 +4,7 @@
 
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "ir/ast.h"
 #include "ir/fields.h"
@@ -255,6 +256,63 @@ TEST(Parser, ErrorPositionsAreReported) {
     } catch (const Parse_error& e) {
         EXPECT_EQ(e.line(), 2);
     }
+}
+
+// `depth` copies of `open`, then `core`, then `depth` copies of `close`.
+std::string nested(int depth, const std::string& open,
+                   const std::string& core, const std::string& close) {
+    std::string out;
+    for (int i = 0; i < depth; ++i) out += open;
+    out += core;
+    for (int i = 0; i < depth; ++i) out += close;
+    return out;
+}
+
+TEST(Parser, DeepNestingIsRefusedWithThePosition) {
+    // Each of these used to overflow the stack of the recursive descent.
+    constexpr int kDeep = 200'000;
+    const std::string stmt = "[x : tcp.dst = 80 -> .*] ";
+    const std::string rate = "max(x, 10Mbps)";
+    const std::pair<std::string, std::string> forms[] = {
+        {"predicate groups",
+         "[x : " + nested(kDeep, "(", "true", ")") + " -> .*]"},
+        {"predicate negations",
+         "[x : " + nested(kDeep, "!", "true", "") + " -> .*]"},
+        {"path groups", "[x : true -> " + nested(kDeep, "(", ".*", ")") + "]"},
+        {"path negations",
+         "[x : true -> " + nested(kDeep, "!", ".*", "") + "]"},
+        {"formula groups", stmt + nested(kDeep, "(", rate, ")")},
+        {"formula negations", stmt + nested(kDeep, "!", rate, "")},
+    };
+    for (const auto& [what, text] : forms) {
+        try {
+            (void)parse_policy(text);
+            ADD_FAILURE() << what << " was accepted";
+        } catch (const Parse_error& e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "nesting deeper than 256 levels"),
+                      std::string::npos)
+                << what << ": " << e.what();
+            EXPECT_EQ(e.line(), 1) << what;
+        }
+    }
+    // The refusal points at the 257th opening token: "[x : " is 5 columns.
+    try {
+        (void)parse_policy(forms[0].second);
+    } catch (const Parse_error& e) {
+        EXPECT_EQ(e.column(), 5 + 257);
+    }
+    // The limit itself still parses, in every grammar.
+    EXPECT_NO_THROW((void)parse_predicate(nested(256, "(", "true", ")")));
+    EXPECT_NO_THROW((void)parse_predicate(nested(256, "!", "true", "")));
+    EXPECT_NO_THROW((void)parse_path(nested(256, "(", ".*", ")")));
+    EXPECT_NO_THROW((void)parse_formula(nested(256, "!", rate, "")));
+    EXPECT_THROW((void)parse_predicate(nested(257, "(", "true", ")")),
+                 Parse_error);
+    // Sequential groups do not nest.
+    std::string flat = "true";
+    for (int i = 0; i < 1000; ++i) flat += " and (true)";
+    EXPECT_NO_THROW((void)parse_predicate(flat));
 }
 
 TEST(Fields, AliasesAndValues) {

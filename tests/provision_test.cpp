@@ -3,13 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <string>
+#include <string_view>
 
 #include "core/logical.h"
 #include "parser/parser.h"
 #include "topo/generators.h"
 #include "topo/parse.h"
 #include "util/rng.h"
+#include "util/strings.h"
 
 namespace merlin::core {
 namespace {
@@ -38,7 +43,7 @@ std::vector<Guaranteed_request> make_requests(const topo::Topology& t, int n,
     std::vector<Guaranteed_request> out;
     for (int i = 0; i < n; ++i) {
         Guaranteed_request r;
-        r.id = "g" + std::to_string(i);
+        r.id = indexed("g", i);
         r.rate = rate;
         r.logical =
             build_logical(t, nfa, t.require("h1"), t.require("h2"));
@@ -187,6 +192,145 @@ TEST(ProvisionGreedy, BigRMaxAccumulatesExactBps) {
     EXPECT_EQ(r.big_r_max.bps(), exact);
 }
 
+// ---------------------------------------------------------------- crash basis
+//
+// A solve with no previous basis starts its root LP from
+// detail::crash_basis, one shortest-path tree per request. These tests hold
+// it to a true two-phase cold start (warm_start = false ignores every root
+// basis).
+
+automata::Nfa path_dfa(const topo::Topology& t, const std::string& path) {
+    const auto nfa = automata::remove_epsilon(
+        automata::thompson(parser::parse_path(path), make_alphabet(t)));
+    return automata::to_nfa(automata::minimize(automata::determinize(nfa)));
+}
+
+// `count` requests between seeded distinct host pairs at a seeded rate in
+// [lo_mbps, hi_mbps]; every fifth goes through a seeded waypoint switch.
+std::vector<Guaranteed_request> seeded_requests(const topo::Topology& t,
+                                                Rng& rng, int count,
+                                                int lo_mbps, int hi_mbps) {
+    const auto hosts = t.hosts();
+    std::vector<topo::NodeId> switches;
+    for (topo::NodeId n = 0; n < t.node_count(); ++n)
+        if (t.node(n).kind == topo::Node_kind::switch_) switches.push_back(n);
+    const automata::Nfa any = path_dfa(t, ".*");
+    const auto pick = [&rng](const std::vector<topo::NodeId>& from) {
+        return from[static_cast<std::size_t>(
+            rng.uniform(0, static_cast<std::int64_t>(from.size()) - 1))];
+    };
+    std::vector<Guaranteed_request> out;
+    for (int i = 0; i < count; ++i) {
+        const topo::NodeId src = pick(hosts);
+        topo::NodeId dst = src;
+        while (dst == src) dst = pick(hosts);
+        Guaranteed_request r;
+        r.id = indexed("g", i);
+        r.rate =
+            mbps(static_cast<std::uint64_t>(rng.uniform(lo_mbps, hi_mbps)));
+        const automata::Nfa nfa =
+            i % 5 == 4
+                ? path_dfa(t, ".* " + t.node(pick(switches)).name + " .*")
+                : any;
+        r.logical = build_logical(t, nfa, src, dst);
+        out.push_back(std::move(r));
+    }
+    return out;
+}
+
+mip::Options two_phase_cold() {
+    mip::Options o;
+    o.warm_start = false;
+    return o;
+}
+
+// The largest link load ratio of the crash trees: each request's
+// shortest path under the encoding's costs, loaded with its rate.
+double max_tree_load(const topo::Topology& t,
+                     const std::vector<Guaranteed_request>& requests,
+                     const Mip_encoding& encoding) {
+    const lp::Problem& lp = encoding.problem.relaxation();
+    std::vector<double> load(static_cast<std::size_t>(t.link_count()), 0.0);
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+        std::vector<double> costs;
+        for (const int var : encoding.edge_vars[i])
+            costs.push_back(lp.upper(var) == 0 ? lp::kInfinity : lp.cost(var));
+        const auto& logical = requests[i].logical;
+        const auto path = detail::tree_path(
+            logical, detail::shortest_path_tree(logical, costs));
+        if (!path) continue;
+        for (const int e : *path) {
+            const auto link = logical.edges[static_cast<std::size_t>(e)].link;
+            if (link != topo::kNoLink)
+                load[static_cast<std::size_t>(link)] +=
+                    requests[i].rate.mbps();
+        }
+    }
+    double worst = 0;
+    for (topo::LinkId l = 0; l < t.link_count(); ++l)
+        worst = std::max(worst, load[static_cast<std::size_t>(l)] /
+                                    t.link(l).capacity.mbps());
+    return worst;
+}
+
+// The objective cost of a provisioned path: its logical edges, recovered
+// by walking the request's (deterministic) logical graph along the
+// location word and crossed links, then the sink edge.
+double path_cost(const Guaranteed_request& request,
+                 const std::vector<double>& costs,
+                 const Provisioned_path& path) {
+    const Logical_topology& logical = request.logical;
+    double total = 0;
+    graph::Vertex at = logical.source;
+    std::size_t next_link = 0;
+    const auto step = [&](topo::NodeId location) {
+        for (const graph::Edge e : logical.graph.out_edges(at)) {
+            const Logical_edge& edge =
+                logical.edges[static_cast<std::size_t>(e)];
+            if (edge.location != location) continue;
+            if (edge.link != topo::kNoLink &&
+                (next_link >= path.links.size() ||
+                 edge.link != path.links[next_link]))
+                continue;
+            if (edge.link != topo::kNoLink) ++next_link;
+            total += costs[static_cast<std::size_t>(e)];
+            at = logical.graph.target(e);
+            return true;
+        }
+        return false;
+    };
+    for (const topo::NodeId location : path.word)
+        if (!step(location)) return lp::kInfinity;
+    if (!step(topo::kNoNode) || at != logical.sink) return lp::kInfinity;
+    return total;
+}
+
+// `got` reaches the cold solve's optimum: the same verdict, the same
+// objective, and per request the same path or an exactly tied one (equal
+// cost and hop count) — the only freedom a different starting basis has.
+void expect_same_optimum(const std::vector<Guaranteed_request>& requests,
+                         Heuristic h, const Provision_result& cold,
+                         const Provision_result& got, const std::string& what) {
+    ASSERT_EQ(got.feasible, cold.feasible) << what;
+    EXPECT_EQ(got.proven_infeasible, cold.proven_infeasible) << what;
+    if (!cold.feasible) return;
+    EXPECT_NEAR(got.objective, cold.objective,
+                1e-9 * (1 + std::abs(cold.objective)))
+        << what;
+    const auto costs = detail::request_costs(requests, h);
+    ASSERT_EQ(got.paths.size(), cold.paths.size()) << what;
+    for (std::size_t i = 0; i < cold.paths.size(); ++i) {
+        const Provisioned_path& a = cold.paths[i];
+        const Provisioned_path& b = got.paths[i];
+        if (a.word == b.word && a.links == b.links) continue;
+        EXPECT_EQ(a.links.size(), b.links.size()) << what << ' ' << a.id;
+        const double cost_a = path_cost(requests[i], costs[i], a);
+        const double cost_b = path_cost(requests[i], costs[i], b);
+        ASSERT_LT(cost_a, lp::kInfinity) << what << ' ' << a.id;
+        EXPECT_NEAR(cost_a, cost_b, 1e-9) << what << ' ' << a.id;
+    }
+}
+
 TEST(ProvisionMip, WarmStartMatchesColdOnFatTree4) {
     // Three inter-pod flows (500/500/600 Mbps) leaving edge switch e0_0
     // through its two 1 Gbps uplinks: fractionally the min-max-ratio
@@ -203,7 +347,7 @@ TEST(ProvisionMip, WarmStartMatchesColdOnFatTree4) {
     int index = 0;
     for (const std::uint64_t rate : {500, 500, 600}) {
         Guaranteed_request r;
-        r.id = "g" + std::to_string(index++);
+        r.id = indexed("g", index++);
         r.rate = mbps(rate);
         r.logical =
             build_logical(t, nfa, t.require("e0_0"), t.require("e3_0"));
@@ -231,6 +375,200 @@ TEST(ProvisionMip, WarmStartMatchesColdOnFatTree4) {
     EXPECT_GT(warm.warm_started_nodes, 0);
     EXPECT_EQ(cold.warm_started_nodes, 0);
     EXPECT_LT(warm.simplex_iterations, cold.simplex_iterations);
+
+    // The default root starts from the shortest-path crash, which sends
+    // all three flows up one uplink: 1600 Mbps on a 1 Gbps link, a primal
+    // infeasible start. lp::solve repairs it or cold-starts, and
+    // root_start must say which.
+    const Mip_encoding encoding =
+        encode_provisioning(t, requests, Heuristic::min_max_ratio);
+    const lp::Basis crash = detail::crash_basis(t, requests, encoding);
+    ASSERT_FALSE(crash.empty());
+    EXPECT_GT(max_tree_load(t, requests, encoding), 1.0);
+    const lp::Solution root =
+        lp::solve(encoding.problem.relaxation(), {}, &crash);
+    EXPECT_STREQ(warm.root_start, root.stats.warm_started ? "crash" : "cold");
+    EXPECT_STREQ(cold.root_start, "cold");
+}
+
+constexpr Heuristic kHeuristics[] = {Heuristic::weighted_shortest_path,
+                                     Heuristic::min_max_ratio,
+                                     Heuristic::min_max_reserved};
+
+TEST(ProvisionCrash, AgreesWithTwoPhaseColdStart) {
+    // Seeded instances on three topology families at three loads: light
+    // (the crash is feasible and optimal), tight (it often overloads a
+    // link) and heavy (often infeasible outright).
+    //
+    // A light instance that closes at the root is an LP vertex with spare
+    // capacity: the crash may only land on an exact jitter tie of the cold
+    // optimum. Elsewhere the optimum is start-dependent even between the
+    // parent commit's starts: pruning allows gap_tol * (1 + |obj|), and a
+    // node LP stops within the simplex optimality tolerance, which R_max's
+    // and r_max's capacity-scaled rows turn into up to ~1e-5 of objective
+    // (14 jitter quanta on the tight campus instance here). Those
+    // instances are held to the solver cross-oracle's 1e-4 relative
+    // tolerance. A node-limited search keeps an exploration-order-
+    // dependent incumbent, so those instances are not compared (as in the
+    // fuzz solver oracle); the sweep must still compare most of them.
+    struct Family {
+        const char* name;
+        topo::Topology topo;
+    };
+    Rng zoo_rng(4242);
+    const Family families[] = {{"fat-tree:4", topo::fat_tree(4)},
+                               {"campus", topo::campus()},
+                               {"zoo", topo::zoo_topology(20, zoo_rng)}};
+    struct Load {
+        int requests;
+        int lo_mbps;
+        int hi_mbps;
+    };
+    constexpr Load kLoads[] = {{6, 1, 10}, {6, 250, 450}, {5, 300, 700}};
+    mip::Options capped;
+    capped.max_nodes = 8;
+    mip::Options cold_capped = two_phase_cold();
+    cold_capped.max_nodes = capped.max_nodes;
+    int instances = 0;
+    int compared = 0;
+    int exact = 0;
+    int crash_roots = 0;
+    int overloaded = 0;
+    int infeasible = 0;
+    for (const Family& family : families) {
+        for (int seed = 0; seed < 4; ++seed) {
+            Rng rng(static_cast<std::uint64_t>(seed + 1) * 7919);
+            const Load& load = kLoads[seed % 3];
+            const auto requests = seeded_requests(
+                family.topo, rng, load.requests, load.lo_mbps, load.hi_mbps);
+            for (const Heuristic h : kHeuristics) {
+                const std::string what = std::string(family.name) + ' ' +
+                                         indexed("seed", seed) + ' ' +
+                                         to_string(h);
+                ++instances;
+                const Mip_encoding encoding =
+                    encode_provisioning(family.topo, requests, h);
+                const Provision_result cold = solve_encoding(
+                    family.topo, requests, encoding, cold_capped);
+                const Provision_result got =
+                    solve_encoding(family.topo, requests, encoding, capped);
+                EXPECT_STREQ(cold.root_start, "cold") << what;
+                if (cold.mip_nodes >= capped.max_nodes ||
+                    got.mip_nodes >= capped.max_nodes)
+                    continue;
+                ++compared;
+                if (&load == &kLoads[0] && cold.mip_nodes == 1 &&
+                    got.mip_nodes == 1) {
+                    ++exact;
+                    expect_same_optimum(requests, h, cold, got, what);
+                } else {
+                    ASSERT_EQ(got.feasible, cold.feasible) << what;
+                    EXPECT_EQ(got.proven_infeasible, cold.proven_infeasible)
+                        << what;
+                    EXPECT_NEAR(got.objective, cold.objective,
+                                1e-4 * (1 + std::abs(cold.objective)))
+                        << what;
+                }
+                if (std::string_view(got.root_start) == "crash") ++crash_roots;
+                if (max_tree_load(family.topo, requests, encoding) > 1.0)
+                    ++overloaded;
+                if (cold.proven_infeasible) ++infeasible;
+            }
+        }
+    }
+    // Every path of the start ran: exact comparisons, crash roots,
+    // overloaded crashes and proven infeasibility.
+    EXPECT_GE(compared * 10, instances * 8);
+    EXPECT_GE(exact, instances / 6);
+    EXPECT_GT(crash_roots, 0);
+    EXPECT_GT(overloaded, 0);
+    EXPECT_GT(infeasible, 0);
+    std::printf("compared %d of %d, %d exact, %d crash roots, %d overloaded, "
+                "%d infeasible\n",
+                compared, instances, exact, crash_roots, overloaded,
+                infeasible);
+}
+
+TEST(ProvisionCrash, PerfbenchShapedInstanceStartsAtTheOptimum) {
+    // The batch-compile shape: a k=4 fat tree, 12 guaranteed host pairs at
+    // 1-10 Mbps, some through a waypoint. Under weighted-shortest-path
+    // with capacity to spare the crash is already optimal: no phase 1 and
+    // at most two pricing rounds.
+    const topo::Topology t = topo::fat_tree(4);
+    Rng rng(411);
+    const auto requests = seeded_requests(t, rng, 12, 1, 10);
+    for (const Heuristic h : kHeuristics) {
+        const Mip_encoding encoding = encode_provisioning(t, requests, h);
+        const lp::Basis crash = detail::crash_basis(t, requests, encoding);
+        ASSERT_FALSE(crash.empty()) << to_string(h);
+        const lp::Solution root =
+            lp::solve(encoding.problem.relaxation(), {}, &crash);
+        ASSERT_TRUE(root.optimal()) << to_string(h);
+        EXPECT_TRUE(root.stats.warm_started) << to_string(h);
+        EXPECT_EQ(root.stats.phase1_iterations, 0) << to_string(h);
+
+        const Provision_result got = solve_encoding(t, requests, encoding, {});
+        EXPECT_STREQ(got.root_start, "crash") << to_string(h);
+        if (h != Heuristic::weighted_shortest_path) continue;
+        EXPECT_LE(root.stats.iterations, 2);
+        EXPECT_EQ(got.mip_nodes, 1);
+        EXPECT_LE(got.simplex_iterations, 2);
+        const Provision_result cold =
+            solve_encoding(t, requests, encoding, two_phase_cold());
+        expect_same_optimum(requests, h, cold, got, to_string(h));
+    }
+}
+
+TEST(ProvisionCrash, TreeAvoidsAFailedLink) {
+    topo::Topology t = topo::fat_tree(4);
+    Rng rng(17);
+    const auto requests = seeded_requests(t, rng, 8, 1, 10);
+    const Provision_result healthy = provision(t, requests);
+    ASSERT_TRUE(healthy.feasible);
+    // Fail the second link of the first request's shortest path.
+    ASSERT_GE(healthy.paths[0].links.size(), 2u);
+    const topo::LinkId failed = healthy.paths[0].links[1];
+    t.set_link_state(failed, false);
+
+    const Mip_encoding encoding = encode_provisioning(t, requests, {});
+    const lp::Basis crash = detail::crash_basis(t, requests, encoding);
+    ASSERT_FALSE(crash.empty());
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+        const auto& logical = requests[i].logical;
+        for (int e = 0; e < logical.graph.edge_count(); ++e) {
+            if (logical.edges[static_cast<std::size_t>(e)].link != failed)
+                continue;
+            const int var = encoding.edge_vars[i][static_cast<std::size_t>(e)];
+            EXPECT_EQ(
+                std::count(crash.basic.begin(), crash.basic.end(), var), 0)
+                << requests[i].id;
+        }
+    }
+    const Provision_result got = solve_encoding(t, requests, encoding, {});
+    EXPECT_STREQ(got.root_start, "crash");
+    ASSERT_TRUE(got.feasible);
+    for (const Provisioned_path& p : got.paths)
+        EXPECT_EQ(std::count(p.links.begin(), p.links.end(), failed), 0)
+            << p.id;
+    const Provision_result cold =
+        solve_encoding(t, requests, encoding, two_phase_cold());
+    expect_same_optimum(requests, Heuristic::weighted_shortest_path, cold,
+                        got, "failed link");
+}
+
+TEST(ProvisionCrash, SinkBehindDownLinksFallsBackToTwoPhase) {
+    // Both h1 ~> h2 routes lose a link: no tree reaches the sink, so there
+    // is no crash, and the two-phase cold start proves infeasibility.
+    topo::Topology t = two_paths();
+    const auto requests = make_requests(t, 1, mb_per_sec(10));
+    t.set_link_state(*t.link_between(t.require("a1"), t.require("a2")), false);
+    t.set_link_state(*t.link_between(t.require("b1"), t.require("h2")), false);
+    const Mip_encoding encoding = encode_provisioning(t, requests, {});
+    EXPECT_TRUE(detail::crash_basis(t, requests, encoding).empty());
+    const Provision_result got = solve_encoding(t, requests, encoding, {});
+    EXPECT_FALSE(got.feasible);
+    EXPECT_TRUE(got.proven_infeasible);
+    EXPECT_STREQ(got.root_start, "cold");
 }
 
 // Property: on random zoo topologies with spread requests, greedy results
@@ -255,7 +593,7 @@ TEST_P(GreedyProperty, CapacityAndEndpointInvariants) {
             dst = hosts[static_cast<std::size_t>(
                 rng.uniform(0, static_cast<int>(hosts.size()) - 1))];
         Guaranteed_request r;
-        r.id = "g" + std::to_string(i);
+        r.id = indexed("g", i);
         r.rate = mbps(50);
         r.logical = build_logical(t, nfa, src, dst);
         requests.push_back(std::move(r));

@@ -52,6 +52,32 @@ TEST(Units, RejectsValuesOutsideSixtyFourBits) {
               18446744073709549568ULL);
 }
 
+// The message a parse_whole_mbps refusal carries.
+std::string whole_mbps_error(const std::string& text) {
+    try {
+        (void)parse_whole_mbps(text);
+    } catch (const Error& e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(Units, WholeMbpsRefusesRatesPastSixtyFourBits) {
+    EXPECT_EQ(parse_whole_mbps("40"), mbps(40));
+    EXPECT_EQ(parse_whole_mbps("0"), Bandwidth{});
+    // The largest whole Mbps whose bps fit 64 bits, and one past it, which
+    // used to wrap to ~0.4 Mbps and be provisioned.
+    EXPECT_EQ(parse_whole_mbps("18446744073709").bps(),
+              18'446'744'073'709'000'000ULL);
+    EXPECT_EQ(whole_mbps_error("18446744073710"),
+              "rate out of range: 18446744073710");
+    EXPECT_EQ(whole_mbps_error("99999999999999999999999"),
+              "rate out of range: 99999999999999999999999");
+    for (const std::string token : {"", "-5", "4x", "1.5", "5Mbps"})
+        EXPECT_EQ(whole_mbps_error(token),
+                  "malformed rate (whole Mbps expected): " + token);
+}
+
 TEST(Units, PrintingPrefersPaperConvention) {
     EXPECT_EQ(to_string(mb_per_sec(50)), "50MB/s");
     // Byte units are preferred whenever the value divides evenly:

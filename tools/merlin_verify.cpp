@@ -38,7 +38,7 @@
 #include "topo/generators.h"
 #include "topo/parse.h"
 #include "util/error.h"
-#include "util/strings.h"
+#include "util/units.h"
 
 namespace {
 
@@ -66,13 +66,6 @@ std::vector<std::string> tokenize(const std::string& line) {
     return out;
 }
 
-std::uint64_t parse_mbps(const std::string& text) {
-    const auto value = merlin::parse_whole_int(text);
-    if (!value || *value < 0)
-        throw merlin::Error("malformed rate (whole Mbps expected): " + text);
-    return static_cast<std::uint64_t>(*value);
-}
-
 // Replays the update script (merlinc's grammar) without printing per-update
 // engine statistics; the publish hook carries the verification. Before each
 // engine call `link_change` is set so the hook knows whether the previous
@@ -91,8 +84,8 @@ void replay_updates(merlin::core::Engine& engine, const std::string& script,
         link_change = command == "fail" || command == "restore";
         if (command == "bandwidth" && (args.size() == 3 || args.size() == 4)) {
             std::optional<Bandwidth> cap;
-            if (args.size() == 4) cap = mbps(parse_mbps(args[3]));
-            engine.set_bandwidth(args[1], mbps(parse_mbps(args[2])), cap);
+            if (args.size() == 4) cap = parse_whole_mbps(args[3]);
+            engine.set_bandwidth(args[1], parse_whole_mbps(args[2]), cap);
         } else if (command == "add" && args.size() >= 2) {
             const std::string text = line.substr(line.find("add") + 3);
             const ir::Policy parsed = parser::parse_policy("[" + text + "]");

@@ -65,6 +65,7 @@
 #include "topo/parse.h"
 #include "util/error.h"
 #include "util/strings.h"
+#include "util/units.h"
 
 namespace {
 
@@ -97,13 +98,6 @@ std::vector<std::string> tokenize(const std::string& line) {
     std::string token;
     while (in >> token) out.push_back(std::move(token));
     return out;
-}
-
-std::uint64_t parse_mbps(const std::string& text) {
-    const auto value = merlin::parse_whole_int(text);
-    if (!value || *value < 0)
-        throw merlin::Error("malformed rate (whole Mbps expected): " + text);
-    return static_cast<std::uint64_t>(*value);
 }
 
 // One published configuration's diff, recorded by the engine publish hook
@@ -164,9 +158,9 @@ int replay_updates(merlin::core::Engine& engine, const std::string& script,
         if (command == "bandwidth" &&
             (args.size() == 3 || args.size() == 4)) {
             std::optional<Bandwidth> cap;
-            if (args.size() == 4) cap = mbps(parse_mbps(args[3]));
+            if (args.size() == 4) cap = parse_whole_mbps(args[3]);
             update =
-                engine.set_bandwidth(args[1], mbps(parse_mbps(args[2])), cap);
+                engine.set_bandwidth(args[1], parse_whole_mbps(args[2]), cap);
         } else if (command == "add" && args.size() >= 2) {
             const std::string text = line.substr(line.find("add") + 3);
             const ir::Policy parsed =
@@ -353,7 +347,7 @@ int main(int argc, char** argv) {
                           << " simplex_iterations=" << pr.simplex_iterations
                           << " factorizations=" << pr.lp_factorizations
                           << " warm_started_nodes=" << pr.warm_started_nodes
-                          << '\n';
+                          << " root_start=" << pr.root_start << '\n';
                 if (options.solver_mode != core::Solver_mode::full) {
                     std::cout << "colgen stats: mode="
                               << core::to_string(options.solver_mode)
