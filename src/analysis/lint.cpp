@@ -11,7 +11,7 @@
 #include "automata/automata.h"
 #include "core/logical.h"
 #include "pred/analysis.h"
-#include "pred/classifier.h"
+#include "pred/overlap.h"
 #include "presburger/localize.h"
 #include "util/error.h"
 
@@ -25,24 +25,16 @@ void lint_predicates(const ir::Policy& policy, pred::Analyzer& analyzer,
     std::vector<ir::PredPtr> preds;
     preds.reserve(stmts.size());
     for (const ir::Statement& s : stmts) preds.push_back(s.predicate);
-    // One shared DAG replaces the O(n^2) pairwise disjoint() pass: a
-    // statement is unsat iff its predicate group's root is false, and the
-    // overlapping pairs are exactly those co-occurring in some reachable
-    // terminal set. Witness/implication BDD work is then spent only on
-    // pairs that actually overlap.
-    const pred::Classifier classifier(analyzer, preds);
     for (std::size_t i = 0; i < stmts.size(); ++i) {
-        if (classifier.group_root(classifier.group_of(i)) != bdd::kFalse)
-            continue;
+        if (analyzer.compile(preds[i]) != bdd::kFalse) continue;
         report.push_back({Severity::warning, "unsat-predicate", stmts[i].id,
                           "predicate matches no packets", ""});
     }
-    std::set<std::pair<std::size_t, std::size_t>> pairs;
-    for (const auto& match_set : classifier.match_sets())
-        for (std::size_t i = 0; i < match_set.size(); ++i)
-            for (std::size_t j = i + 1; j < match_set.size(); ++j)
-                pairs.emplace(match_set[i], match_set[j]);
-    for (const auto& [i, j] : pairs) {
+    // The engine's pre-check search: a DAG only over statements that can
+    // overlap. Witness/implication BDD work is then spent only on pairs
+    // that actually overlap.
+    const pred::Overlaps overlaps = pred::overlapping_pairs(analyzer, preds);
+    for (const auto& [i, j] : overlaps.pairs) {
         const ir::PredPtr& a = stmts[i].predicate;
         const ir::PredPtr& b = stmts[j].predicate;
         const std::string both = packet_witness(analyzer, ir::pred_and(a, b));

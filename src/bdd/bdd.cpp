@@ -81,14 +81,43 @@ Node Manager::nvar(int v) {
 }
 
 Node Manager::cube(int first, int width, std::uint64_t value) {
-    expects(width >= 0 && width <= 64, "BDD cube width out of range");
-    expects(first >= 0 && width <= variable_count_ - first,
-            "BDD cube variables out of range");
+    const Cube_field field{first, width, value};
+    return cube(std::span(&field, 1));
+}
+
+Node Manager::cube(std::span<const Cube_field> fields) {
+    const auto masked = [](const Cube_field& f) {
+        return f.width == 64 ? f.value
+                             : f.value & ((std::uint64_t{1} << f.width) - 1);
+    };
+    const auto repeats = [&](std::size_t k) {
+        return k > 0 && fields[k - 1].first == fields[k].first &&
+               fields[k - 1].width == fields[k].width;
+    };
+    for (std::size_t k = 0; k < fields.size(); ++k) {
+        const Cube_field& f = fields[k];
+        expects(f.width >= 0 && f.width <= 64, "BDD cube width out of range");
+        expects(f.first >= 0 && f.width <= variable_count_ - f.first,
+                "BDD cube variables out of range");
+        if (k == 0) continue;
+        const Cube_field& prev = fields[k - 1];
+        if (repeats(k)) {
+            if (masked(f) != masked(prev)) return kFalse;
+            continue;
+        }
+        expects(prev.first + prev.width <= f.first,
+                "BDD cube fields unsorted or overlapping");
+    }
+    // Bottom-up from the last variable; a repeated field is built once.
     Node acc = kTrue;
-    for (int shift = 0; shift < width; ++shift) {
-        const int v = first + width - 1 - shift;
-        acc = ((value >> shift) & 1) != 0 ? make(v, kFalse, acc)
-                                          : make(v, acc, kFalse);
+    for (std::size_t k = fields.size(); k-- > 0;) {
+        const Cube_field& f = fields[k];
+        if (repeats(k)) continue;
+        for (int shift = 0; shift < f.width; ++shift) {
+            const int v = f.first + f.width - 1 - shift;
+            acc = ((f.value >> shift) & 1) != 0 ? make(v, kFalse, acc)
+                                                : make(v, acc, kFalse);
+        }
     }
     return acc;
 }

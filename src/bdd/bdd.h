@@ -14,6 +14,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace merlin::bdd {
@@ -22,6 +23,15 @@ using Node = std::uint32_t;
 
 inline constexpr Node kFalse = 0;
 inline constexpr Node kTrue = 1;
+
+// One field-equality literal of a cube: variables first .. first+width-1
+// take the bits of `value`, most significant bit on `first`. Bits above the
+// width are ignored.
+struct Cube_field {
+    int first;
+    int width;
+    std::uint64_t value;
+};
 
 // Mixes three words into a hash, which the open-addressed tables here and
 // pred::Classifier's unique table index with a power-of-two mask.
@@ -50,6 +60,11 @@ public:
     // field-equality test). Built bottom-up, one unique-table lookup per
     // bit, where an apply_and chain walks the partial cube at every step.
     [[nodiscard]] Node cube(int first, int width, std::uint64_t value);
+    // The conjunction of several field-equality tests, in one bottom-up
+    // pass with no apply. `fields` must be sorted by `first`; entries on
+    // one variable range repeat a field (two different values give kFalse,
+    // equal ones are one test), and ranges must not otherwise overlap.
+    [[nodiscard]] Node cube(std::span<const Cube_field> fields);
 
     [[nodiscard]] Node apply_and(Node a, Node b);
     [[nodiscard]] Node apply_or(Node a, Node b);

@@ -46,29 +46,19 @@ std::optional<topo::NodeId> Addressing::host_by_ip(std::uint64_t value) const {
 Addressing::Endpoints Addressing::endpoints(
     const ir::PredPtr& predicate) const {
     Endpoints out;
-    // Walk the top-level conjunction only.
-    const auto visit = [&](auto&& self, const ir::PredPtr& p) -> void {
-        switch (p->kind) {
-            case ir::Pred_kind::and_:
-                self(self, p->lhs);
-                self(self, p->rhs);
-                return;
-            case ir::Pred_kind::test: {
-                if (p->field == "eth.src") {
-                    if (const auto h = host_by_mac(p->value)) out.src = h;
-                } else if (p->field == "eth.dst") {
-                    if (const auto h = host_by_mac(p->value)) out.dst = h;
-                } else if (p->field == "ip.src") {
-                    if (const auto h = host_by_ip(p->value)) out.src = h;
-                } else if (p->field == "ip.dst") {
-                    if (const auto h = host_by_ip(p->value)) out.dst = h;
-                }
-                return;
-            }
-            default: return;  // or/not/true/false/payload never pin
+    // The top-level conjunction only: or/not/true/false/payload never pin.
+    for (const ir::Pred* p : ir::conjuncts(*predicate)) {
+        if (p->kind != ir::Pred_kind::test) continue;
+        if (p->field == "eth.src") {
+            if (const auto h = host_by_mac(p->value)) out.src = h;
+        } else if (p->field == "eth.dst") {
+            if (const auto h = host_by_mac(p->value)) out.dst = h;
+        } else if (p->field == "ip.src") {
+            if (const auto h = host_by_ip(p->value)) out.src = h;
+        } else if (p->field == "ip.dst") {
+            if (const auto h = host_by_ip(p->value)) out.dst = h;
         }
-    };
-    visit(visit, predicate);
+    }
     return out;
 }
 

@@ -61,9 +61,10 @@ struct Compile_options {
     // dense-inverse implementation could.
     int auto_mip_limit = 24;
     presburger::Split_fn split = presburger::equal_split;
-    // Pairwise predicate disjointness (Section 2.1 pre-processor). Pairs are
-    // bucketed by pinned endpoints first, so policies generated by foreach
-    // sugar check in near-linear time.
+    // Pairwise predicate disjointness (Section 2.1 pre-processor), through
+    // pred::overlapping_pairs: statements pinning distinct (src, dst) values
+    // skip each other, so policies generated by foreach sugar check in
+    // near-linear time.
     bool check_disjoint = true;
     // Append a catch-all best-effort statement so the policy matches all
     // packets (Section 2.1 totality requirement).

@@ -9,7 +9,7 @@
 
 #include "core/colgen.h"
 #include "core/logical.h"
-#include "pred/classifier.h"
+#include "pred/overlap.h"
 #include "util/error.h"
 #include "util/thread_pool.h"
 
@@ -21,17 +21,6 @@ using Clock = std::chrono::steady_clock;
 double ms_since(Clock::time_point start) {
     return std::chrono::duration<double, std::milli>(Clock::now() - start)
         .count();
-}
-
-// Key used to bucket statements for the disjointness pre-check: statements
-// pinning different (src, dst) endpoint pairs are disjoint by construction.
-std::string endpoint_key(std::optional<topo::NodeId> src,
-                         std::optional<topo::NodeId> dst) {
-    std::string key;
-    key += src ? std::to_string(*src) : "?";
-    key += '/';
-    key += dst ? std::to_string(*dst) : "?";
-    return key;
 }
 
 // Thread pool shared by the parallel front-end loops, constructed lazily on
@@ -198,6 +187,10 @@ Engine_stats Engine_stats::since(const Engine_stats& earlier) const {
     // across a vacuum.
     d.bdd_nodes = bdd_nodes - earlier.bdd_nodes;
     d.bdd_vacuums = bdd_vacuums - earlier.bdd_vacuums;
+    d.disjoint_dag_statements =
+        disjoint_dag_statements - earlier.disjoint_dag_statements;
+    d.disjoint_wildcard_tests =
+        disjoint_wildcard_tests - earlier.disjoint_wildcard_tests;
     return d;
 }
 
@@ -264,91 +257,38 @@ void Engine::preprocess(const ir::Policy& policy) {
     timing_.preprocess_ms = ms_since(start);
 }
 
-void Engine::check_disjoint_all() const {
-    // An overlap is reportable only between statements that pin the same
-    // (src, dst) endpoint key, or when one side pins neither endpoint:
-    // statements pinning different pairs are disjoint by construction. So
-    // no predicate DAG spans the whole policy:
-    //   * one DAG per endpoint bucket of two or more statements, and one
-    //     over the fully unpinned statements; a reachable terminal set with
-    //     two members proves that some packet matches both;
-    //   * each pinned statement is tested against the union of the unpinned
-    //     predicates, and only an overlapping one against each of them in
-    //     turn.
-    // A policy without unpinned statements compiles only predicates that
-    // share a bucket. The smallest reportable pair (i, j) is reported.
-    std::vector<std::size_t> unpinned;
-    std::unordered_map<std::string, std::vector<std::size_t>> buckets;
-    for (std::size_t i = 0; i < entries_.size(); ++i) {
-        const Entry& e = entries_[i];
-        if (!e.src_host && !e.dst_host)
-            unpinned.push_back(i);
-        else
-            buckets[endpoint_key(e.src_host, e.dst_host)].push_back(i);
-    }
-    std::optional<std::pair<std::size_t, std::size_t>> first;
-    const auto note = [&](std::size_t a, std::size_t b) {
-        const std::pair<std::size_t, std::size_t> pair{std::min(a, b),
-                                                       std::max(a, b)};
-        if (!first || pair < *first) first = pair;
-    };
-    // Members ascend, so a terminal set's two smallest members are its
-    // smallest pair.
-    const auto classify = [&](const std::vector<std::size_t>& members) {
-        if (members.size() < 2) return;
-        std::vector<ir::PredPtr> preds;
-        preds.reserve(members.size());
-        for (const std::size_t i : members)
-            preds.push_back(entries_[i].stmt.predicate);
-        const pred::Classifier classifier(analyzer_, preds);
-        for (const auto& set : classifier.match_sets())
-            if (set.size() >= 2) note(members[set[0]], members[set[1]]);
-    };
-    classify(unpinned);
-    for (const auto& bucket : buckets) classify(bucket.second);
-    if (!unpinned.empty()) {
-        bdd::Manager& mgr = analyzer_.manager();
-        const auto root = [&](std::size_t i) {
-            return analyzer_.compile(entries_[i].stmt.predicate);
-        };
-        bdd::Node any_unpinned = bdd::kFalse;
-        for (const std::size_t j : unpinned)
-            any_unpinned = mgr.apply_or(any_unpinned, root(j));
-        for (const auto& bucket : buckets)
-            for (const std::size_t i : bucket.second) {
-                const bdd::Node pinned = root(i);
-                if (mgr.disjoint(pinned, any_unpinned)) continue;
-                // Unpinned indices ascend, so the first overlap is this
-                // statement's smallest pair with an unpinned one.
-                for (const std::size_t j : unpinned)
-                    if (!mgr.disjoint(pinned, root(j))) {
-                        note(i, j);
-                        break;
-                    }
-            }
-    }
-    if (first)
-        throw Policy_error("statements '" + entries_[first->first].stmt.id +
-                           "' and '" + entries_[first->second].stmt.id +
-                           "' have overlapping predicates");
+void Engine::check_disjoint_all() {
+    std::vector<ir::PredPtr> preds;
+    preds.reserve(entries_.size());
+    for (const Entry& e : entries_) preds.push_back(e.stmt.predicate);
+    const pred::Overlaps found = pred::overlapping_pairs(analyzer_, preds);
+    note_disjoint_work(found);
+    if (found.pairs.empty()) return;
+    const auto [i, j] = found.pairs.front();
+    throw Policy_error("statements '" + entries_[i].stmt.id + "' and '" +
+                       entries_[j].stmt.id + "' have overlapping predicates");
 }
 
-void Engine::check_disjoint_against(const Entry& fresh) const {
-    const bool fresh_unpinned = !fresh.src_host && !fresh.dst_host;
-    const std::string fresh_key =
-        endpoint_key(fresh.src_host, fresh.dst_host);
-    for (const Entry& e : entries_) {
-        const bool e_unpinned = !e.src_host && !e.dst_host;
-        // Statements pinning different endpoint pairs are disjoint by
-        // construction (same shortcut as the batch pre-check).
-        if (!fresh_unpinned && !e_unpinned &&
-            endpoint_key(e.src_host, e.dst_host) != fresh_key)
-            continue;
-        if (!analyzer_.disjoint(e.stmt.predicate, fresh.stmt.predicate))
-            throw Policy_error("statements '" + e.stmt.id + "' and '" +
-                               fresh.stmt.id +
-                               "' have overlapping predicates");
-    }
+void Engine::check_disjoint_against(const Entry& fresh) {
+    std::vector<ir::PredPtr> preds;
+    preds.reserve(entries_.size() + 1);
+    for (const Entry& e : entries_) preds.push_back(e.stmt.predicate);
+    preds.push_back(fresh.stmt.predicate);
+    const pred::Overlaps found =
+        pred::overlapping_pairs_with(analyzer_, preds, entries_.size());
+    note_disjoint_work(found);
+    if (found.pairs.empty()) return;
+    throw Policy_error("statements '" +
+                       entries_[found.pairs.front().first].stmt.id +
+                       "' and '" + fresh.stmt.id +
+                       "' have overlapping predicates");
+}
+
+void Engine::note_disjoint_work(const pred::Overlaps& found) {
+    totals_.disjoint_dag_statements +=
+        static_cast<long long>(found.dag_predicates);
+    totals_.disjoint_wildcard_tests +=
+        static_cast<long long>(found.wildcard_tests);
 }
 
 // ---------------------------------------------------------------------------

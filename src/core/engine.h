@@ -31,13 +31,23 @@
 // After every delta the published Compilation is identical to what a
 // from-scratch compile() of the current policy and topology would produce
 // (solver work counters aside) — the equivalence the engine_test suite
-// pins down. One known boundary, found by merlin-fuzz: the objective
-// jitters are integer multiples of one quantum, so two MIP-optimal path
-// sets can tie *exactly* (symmetric detours whose jitter sums collide), and
-// a warm-started re-solve may then publish the other optimal vertex than a
-// cold compile. Both answers carry the same rates, path lengths, r_max and
-// R_max; the testgen oracle accepts exactly this proven-tie divergence and
-// nothing else.
+// pins down. One known boundary: a warm-started re-solve may publish
+// another optimal path set than a cold compile, for two reasons.
+//   * Exact ties, found by merlin-fuzz: the objective jitters are integer
+//     multiples of one quantum (1e-6), so symmetric detours can have
+//     equal jitter sums.
+//   * Near-ties inside the solver's tolerances. The simplex stops once
+//     every reduced cost is within lp optimality_tol (1e-7), and the
+//     capacity-scaled rows (3)/(4) turn that into up to ~1e-5 of
+//     objective; branch & bound prunes at gap_tol·(1+|obj|). Both exceed
+//     the quantum, so on capacity-binding instances the optimum reached
+//     depends on the starting basis by a few quanta (a campus()
+//     min-max-ratio instance closed at 671.046363 from the crash basis and
+//     at 671.046377 from two-phase).
+// Either way the diverging paths carry the same rates, word and link
+// lengths, endpoints and functions, while r_max and R_max may differ. The
+// testgen oracle accepts exactly this proven-tie divergence and nothing
+// else.
 #pragma once
 
 #include <chrono>
@@ -53,6 +63,7 @@
 #include "core/compiler.h"
 #include "lp/simplex.h"
 #include "pred/analysis.h"
+#include "pred/overlap.h"
 
 namespace merlin::core {
 
@@ -92,6 +103,12 @@ struct Engine_stats {
     long long bdd_applies = 0;          // BDD apply/negate traversal steps
     long long bdd_nodes = 0;            // live BDD nodes (gauge; drops on vacuum)
     long long bdd_vacuums = 0;          // full predicate-space resets
+    // Disjointness pre-check work (pred::overlapping_pairs): statements
+    // classified through a predicate DAG, and keyed statements tested
+    // against the wildcard statements. Both stay 0 for a policy whose
+    // statements all pin distinct (src, dst) pairs.
+    long long disjoint_dag_statements = 0;
+    long long disjoint_wildcard_tests = 0;
 
     // Counter-wise difference (this - earlier); used to attribute work to a
     // single update.
@@ -257,8 +274,11 @@ private:
     // ---- construction / rebuild helpers
     void preprocess(const ir::Policy& policy);
     void rebuild_requests();
-    void check_disjoint_all() const;
-    void check_disjoint_against(const Entry& fresh) const;
+    // Section 2.1's pre-processor requirement: throw Policy_error naming
+    // the first overlapping pair of the policy / of `fresh` against it.
+    void check_disjoint_all();
+    void check_disjoint_against(const Entry& fresh);
+    void note_disjoint_work(const pred::Overlaps& found);
 
     // Ensures the full-alphabet NFA for every guaranteed entry is interned;
     // rethrows construction errors for the first guaranteed entry in policy

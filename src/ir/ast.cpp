@@ -52,6 +52,22 @@ PredPtr pred_not(PredPtr a) {
         Pred{Pred_kind::not_, {}, 0, {}, std::move(a), nullptr});
 }
 
+std::vector<const Pred*> conjuncts(const Pred& p) {
+    std::vector<const Pred*> out;
+    std::vector<const Pred*> stack{&p};
+    while (!stack.empty()) {
+        const Pred* q = stack.back();
+        stack.pop_back();
+        if (q->kind == Pred_kind::and_) {
+            stack.push_back(q->rhs.get());
+            stack.push_back(q->lhs.get());
+        } else {
+            out.push_back(q);
+        }
+    }
+    return out;
+}
+
 bool equal(const PredPtr& a, const PredPtr& b) {
     if (a == b) return true;
     if (!a || !b) return false;

@@ -59,6 +59,10 @@ struct Pred {
 [[nodiscard]] PredPtr pred_or(PredPtr a, PredPtr b);
 [[nodiscard]] PredPtr pred_not(PredPtr a);
 
+// The operands of p's top-level `and` tree, left to right (just &p when p
+// is no conjunction). Iterative, so a long flat chain does not recurse.
+[[nodiscard]] std::vector<const Pred*> conjuncts(const Pred& p);
+
 // Structural equality (no normalization).
 [[nodiscard]] bool equal(const PredPtr& a, const PredPtr& b);
 [[nodiscard]] std::string to_string(const PredPtr& p);

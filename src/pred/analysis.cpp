@@ -9,12 +9,11 @@ namespace merlin::pred {
 
 Analyzer::Analyzer() : manager_(ir::total_header_bits()) {}
 
-bdd::Node Analyzer::field_equals(const std::string& field,
-                                 std::uint64_t value) {
-    const auto f = ir::find_field(field);
-    if (!f) throw Policy_error("unknown field in predicate: " + field);
+bdd::Cube_field Analyzer::field_literal(const ir::Pred& test) const {
+    const auto f = ir::find_field(test.field);
+    if (!f) throw Policy_error("unknown field in predicate: " + test.field);
     // Variable order: most significant bit first within the field.
-    return manager_.cube(f->bit_offset, f->width, value);
+    return bdd::Cube_field{f->bit_offset, f->width, test.value};
 }
 
 int Analyzer::payload_variable(const std::string& needle) {
@@ -40,7 +39,7 @@ bdd::Node Analyzer::compile(const ir::PredPtr& p) {
         ++compile_hits_;
     } else {
         ++compiles_;
-        it = memo_.emplace(key, compile_fresh(p)).first;
+        it = memo_.emplace(key, compile_fresh(*p)).first;
     }
     if (by_node_.size() >= by_node_sweep_at_) {
         std::erase_if(by_node_, [](const auto& entry) {
@@ -53,23 +52,54 @@ bdd::Node Analyzer::compile(const ir::PredPtr& p) {
     return it->second;
 }
 
-bdd::Node Analyzer::compile_fresh(const ir::PredPtr& p) {
+bdd::Node Analyzer::compile_fresh(const ir::Pred& p) {
     using ir::Pred_kind;
-    switch (p->kind) {
+    switch (p.kind) {
         case Pred_kind::true_: return bdd::kTrue;
         case Pred_kind::false_: return bdd::kFalse;
-        case Pred_kind::test: return field_equals(p->field, p->value);
+        case Pred_kind::test: {
+            const bdd::Cube_field literal = field_literal(p);
+            return manager_.cube(std::span(&literal, 1));
+        }
         case Pred_kind::payload:
-            return manager_.var(payload_variable(p->needle));
-        case Pred_kind::and_:
-            return manager_.apply_and(compile_fresh(p->lhs),
-                                      compile_fresh(p->rhs));
+            return manager_.var(payload_variable(p.needle));
+        case Pred_kind::and_: return compile_conjunction(p);
         case Pred_kind::or_:
-            return manager_.apply_or(compile_fresh(p->lhs),
-                                     compile_fresh(p->rhs));
-        case Pred_kind::not_: return manager_.negate(compile_fresh(p->lhs));
+            return manager_.apply_or(compile_operand(*p.lhs),
+                                     compile_operand(*p.rhs));
+        case Pred_kind::not_: return manager_.negate(compile_operand(*p.lhs));
     }
     throw Error("unreachable predicate kind");
+}
+
+bdd::Node Analyzer::compile_conjunction(const ir::Pred& p) {
+    // The field tests of the flattened conjunction become one cube; the
+    // other conjuncts are and-ed onto it left to right, so payload needles
+    // are registered in the order they appear.
+    std::vector<bdd::Cube_field> tests;
+    std::vector<const ir::Pred*> rest;
+    for (const ir::Pred* c : ir::conjuncts(p)) {
+        if (c->kind == ir::Pred_kind::test)
+            tests.push_back(field_literal(*c));
+        else if (c->kind != ir::Pred_kind::true_)
+            rest.push_back(c);
+    }
+    std::sort(tests.begin(), tests.end(),
+              [](const bdd::Cube_field& a, const bdd::Cube_field& b) {
+                  return a.first < b.first;
+              });
+    bdd::Node acc = manager_.cube(tests);
+    for (const ir::Pred* c : rest)
+        acc = manager_.apply_and(acc, compile_operand(*c));
+    return acc;
+}
+
+bdd::Node Analyzer::compile_operand(const ir::Pred& p) {
+    // A live entry at this address is this very node (see compile()).
+    if (const auto known = by_node_.find(&p);
+        known != by_node_.end() && !known->second.owner.expired())
+        return known->second.root;
+    return compile_fresh(p);
 }
 
 void Analyzer::vacuum() {

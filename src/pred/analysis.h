@@ -35,6 +35,11 @@ public:
     // then on its canonical text. Each distinct predicate is compiled
     // exactly once per analyzer lifetime (until vacuum()), no matter how
     // many statements reference it, and each node is rendered at most once.
+    // A fresh compile flattens an `and` tree and builds all of its field
+    // tests as one multi-field cube (no apply); the other conjuncts, and
+    // the operands of or/not, reuse the identity memo's root where this
+    // analyzer has one, so `true and !p1 and ... and !pn` recompiles none
+    // of the p_i it has seen.
     [[nodiscard]] bdd::Node compile(const ir::PredPtr& p);
 
     [[nodiscard]] bool disjoint(const ir::PredPtr& a, const ir::PredPtr& b);
@@ -111,9 +116,14 @@ public:
     static constexpr std::size_t kGenerationVacuumFloor = 4096;
 
 private:
-    [[nodiscard]] bdd::Node compile_fresh(const ir::PredPtr& p);
-    [[nodiscard]] bdd::Node field_equals(const std::string& field,
-                                         std::uint64_t value);
+    [[nodiscard]] bdd::Node compile_fresh(const ir::Pred& p);
+    // An `and` tree: its field tests as one multi-field cube, then the
+    // remaining conjuncts.
+    [[nodiscard]] bdd::Node compile_conjunction(const ir::Pred& p);
+    // An operand of and/or/not: the identity memo's root when `p` has one,
+    // else compiled fresh. Reads the memo without entering or counting.
+    [[nodiscard]] bdd::Node compile_operand(const ir::Pred& p);
+    [[nodiscard]] bdd::Cube_field field_literal(const ir::Pred& test) const;
     [[nodiscard]] int payload_variable(const std::string& needle);
 
     bdd::Manager manager_;

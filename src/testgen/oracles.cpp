@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
@@ -20,6 +21,7 @@
 #include "netsim/tables.h"
 #include "pred/analysis.h"
 #include "pred/classifier.h"
+#include "pred/overlap.h"
 #include "testgen/testgen.h"
 #include "util/error.h"
 
@@ -775,6 +777,110 @@ std::optional<std::string> check_classifier(
         }
     }
     return std::nullopt;
+}
+
+// ---------------------------------------------------------------- overlaps
+
+namespace {
+
+bool is_eth_dst_test(const ir::Pred& p) {
+    return p.kind == ir::Pred_kind::test && p.field == "eth.dst";
+}
+
+// `p` with each eth.dst test of its top-level conjunction replaced by
+// `replace(test)`, or dropped where that is null.
+template <typename Replace>
+ir::PredPtr rewrite_eth_dst(const ir::PredPtr& p, Replace replace) {
+    ir::PredPtr out;
+    for (const ir::Pred* c : ir::conjuncts(*p)) {
+        const ir::PredPtr term = is_eth_dst_test(*c)
+                                     ? replace(*c)
+                                     : std::make_shared<const ir::Pred>(*c);
+        if (term) out = out ? ir::pred_and(out, term) : term;
+    }
+    return out ? out : ir::pred_true();
+}
+
+std::optional<std::string> compare_overlaps(
+    const std::vector<ir::PredPtr>& preds,
+    const std::vector<std::string>& ids, const std::string& what) {
+    using Pair = std::pair<std::size_t, std::size_t>;
+    pred::Analyzer reference;
+    const pred::Classifier classifier(reference, preds);
+    std::set<Pair> co_matched;
+    for (const auto& set : classifier.match_sets())
+        for (std::size_t a = 0; a < set.size(); ++a)
+            for (std::size_t b = a + 1; b < set.size(); ++b)
+                co_matched.emplace(set[a], set[b]);
+    const std::vector<Pair> want(co_matched.begin(), co_matched.end());
+    const auto names = [&](const std::vector<Pair>& pairs) {
+        std::string out = "{";
+        for (const auto& [i, j] : pairs)
+            out += (out.size() == 1 ? "(" : ", (") + ids[i] + ", " + ids[j] +
+                   ")";
+        return out + "}";
+    };
+
+    pred::Analyzer analyzer;
+    const pred::Overlaps found = pred::overlapping_pairs(analyzer, preds);
+    if (found.pairs != want)
+        return fail(what, "overlap search reports " + names(found.pairs) +
+                              " but the whole-policy classifier co-matches " +
+                              names(want));
+    for (std::size_t f = 0; f < preds.size(); ++f) {
+        std::vector<Pair> with;
+        for (const Pair& pair : want)
+            if (pair.first == f || pair.second == f) with.push_back(pair);
+        const pred::Overlaps one =
+            pred::overlapping_pairs_with(analyzer, preds, f);
+        if (one.pairs != with)
+            return fail(what, "overlap search for '" + ids[f] +
+                                  "' reports " + names(one.pairs) +
+                                  " but the classifier co-matches " +
+                                  names(with));
+    }
+    return std::nullopt;
+}
+
+}  // namespace
+
+std::optional<std::string> check_overlaps(
+    const core::Compilation& compilation) {
+    std::vector<ir::PredPtr> preds;
+    std::vector<std::string> ids;
+    for (const core::Statement_plan& plan : compilation.plans) {
+        preds.push_back(plan.statement.predicate);
+        ids.push_back(plan.statement.id);
+    }
+    if (auto d = compare_overlaps(preds, ids, "policy")) return d;
+
+    // Widened copies: the scenario's statements are disjoint by
+    // construction, so these are where overlaps (half-pinned ones, and
+    // pins through different fields) come from.
+    std::vector<std::size_t> widenable;
+    for (std::size_t i = 0; i < preds.size(); ++i) {
+        const std::vector<const ir::Pred*> terms = ir::conjuncts(*preds[i]);
+        if (std::any_of(terms.begin(), terms.end(),
+                        [](const ir::Pred* c) { return is_eth_dst_test(*c); }))
+            widenable.push_back(i);
+    }
+    if (widenable.empty()) return std::nullopt;
+    const std::size_t first = widenable.front();
+    std::vector<ir::PredPtr> dropped = preds;
+    dropped[first] = rewrite_eth_dst(
+        preds[first], [](const ir::Pred&) { return ir::PredPtr(); });
+    if (auto d = compare_overlaps(dropped, ids,
+                                  "'" + ids[first] + "' without eth.dst"))
+        return d;
+    const std::size_t last = widenable.back();
+    std::vector<ir::PredPtr> swapped = preds;
+    swapped[last] = rewrite_eth_dst(preds[last], [&](const ir::Pred& t) {
+        const auto host = compilation.addressing.host_by_mac(t.value);
+        return host ? ir::pred_test("ip.dst", compilation.addressing.ip(*host))
+                    : ir::PredPtr();
+    });
+    return compare_overlaps(swapped, ids,
+                            "'" + ids[last] + "' with ip.dst for eth.dst");
 }
 
 // ------------------------------------------------------------------ solvers

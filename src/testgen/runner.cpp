@@ -287,6 +287,8 @@ Run_result run_daemon_scenario(const Scenario& scenario,
             return report(step, "codegen", *d);
         if (auto d = check_classifier(snap.compilation))
             return report(step, "classifier", *d);
+        if (auto d = check_overlaps(snap.compilation))
+            return report(step, "overlaps", *d);
         if (auto d = diffs.step(snap.compilation, snap.topology, !link_delta))
             return report(step, "diffs", *d);
         if (auto d =
@@ -444,6 +446,8 @@ Run_result run_scenario(const Scenario& scenario, const Run_options& options) {
             return report("codegen", *d);
         if (auto d = check_classifier(engine->current()))
             return report("classifier", *d);
+        if (auto d = check_overlaps(engine->current()))
+            return report("overlaps", *d);
         if (auto d = diffs.step(engine->current(), engine->topology(),
                                 !links_changed))
             return report("diffs", *d);

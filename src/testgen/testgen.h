@@ -215,6 +215,15 @@ struct Gen_options {
 [[nodiscard]] std::optional<std::string> check_classifier(
     const core::Compilation& compilation);
 
+// Overlap-search cross-oracle: pred::overlapping_pairs must report exactly
+// the pairs a whole-policy Classifier co-matches, and
+// pred::overlapping_pairs_with(i) exactly those that include statement i.
+// Runs on the compilation's statement predicates and on two widened copies
+// that do overlap: the first statement testing eth.dst loses that test, and
+// the last one tests the same host's ip.dst instead.
+[[nodiscard]] std::optional<std::string> check_overlaps(
+    const core::Compilation& compilation);
+
 // Solver cross-checks over the scenario's current guaranteed statements:
 // greedy-feasible => MIP-feasible, MIP proven-infeasible => greedy fails,
 // both solutions respect capacities, and a warm-started re-solve of the

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
+#include <vector>
 
 #include "ir/fields.h"
 #include "util/error.h"
@@ -200,6 +203,51 @@ TEST(Bdd, CubeRejectsOutOfRangeVariables) {
     EXPECT_THROW((void)m.cube(0, -1, 7), Error);
     Manager wide(100);
     EXPECT_THROW((void)wide.cube(0, 65, 7), Error);
+}
+
+TEST(Bdd, MultiFieldCubeEqualsTheAndOfSingleFieldCubes) {
+    Rng rng(23);
+    const std::vector<ir::Field>& fields = ir::fields();
+    Manager m(ir::total_header_bits());
+    int conflicts = 0;
+    for (int round = 0; round < 300; ++round) {
+        // 0-6 literals over four fields, so fields repeat with equal and
+        // with conflicting values; some values carry bits above the width.
+        std::vector<Cube_field> literals;
+        const int n = static_cast<int>(rng.uniform(0, 6));
+        for (int i = 0; i < n; ++i) {
+            const ir::Field& f =
+                fields[static_cast<std::size_t>(rng.uniform(0, 3)) * 2];
+            std::uint64_t value = static_cast<std::uint64_t>(rng.uniform(1, 2));
+            if (rng.chance(0.3)) value |= std::uint64_t{1} << f.width;
+            literals.push_back(Cube_field{f.bit_offset, f.width, value});
+        }
+        Node want = kTrue;
+        for (const Cube_field& c : literals)
+            want = m.apply_and(want, m.cube(c.first, c.width, c.value));
+        std::sort(literals.begin(), literals.end(),
+                  [](const Cube_field& a, const Cube_field& b) {
+                      return a.first < b.first;
+                  });
+        EXPECT_EQ(m.cube(literals), want) << "round " << round;
+        conflicts += want == kFalse ? 1 : 0;
+    }
+    EXPECT_GT(conflicts, 30);
+    EXPECT_LT(conflicts, 270);
+}
+
+TEST(Bdd, MultiFieldCubeRejectsUnsortedOrOverlappingRanges) {
+    Manager m(32);
+    EXPECT_EQ(m.cube(std::span<const Cube_field>{}), kTrue);
+    const std::vector<Cube_field> disjoint{{0, 8, 1}, {8, 8, 2}};
+    EXPECT_EQ(m.cube(disjoint),
+              m.apply_and(m.cube(0, 8, 1), m.cube(8, 8, 2)));
+    const std::vector<Cube_field> unsorted{{8, 8, 2}, {0, 8, 1}};
+    EXPECT_THROW((void)m.cube(unsorted), Error);
+    const std::vector<Cube_field> overlapping{{0, 8, 1}, {4, 8, 1}};
+    EXPECT_THROW((void)m.cube(overlapping), Error);
+    const std::vector<Cube_field> out_of_range{{0, 8, 1}, {30, 8, 1}};
+    EXPECT_THROW((void)m.cube(out_of_range), Error);
 }
 
 TEST(Bdd, NodesPastVariable1024KeepTheirIdentity) {

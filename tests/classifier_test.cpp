@@ -1,12 +1,15 @@
 // Shared predicate DAG: grouping by hash-consed BDD root, single-traversal
 // classification against per-statement evaluation, reachable match sets as
 // the overlap oracle, and the compile memo that bounds BDD work by the
-// number of *distinct* predicates.
+// number of *distinct* predicates; the keyed overlap search held to one
+// whole-policy DAG.
 #include "pred/classifier.h"
+#include "pred/overlap.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <utility>
 #include <set>
 #include <string>
 #include <vector>
@@ -264,8 +267,11 @@ TEST(Classifier, SurvivesAnalyzerVacuum) {
 
 TEST(Classifier, VacuumAccumulatesRetiredCountersAndShrinksNodes) {
     Analyzer analyzer;
+    // A conjunction of field tests compiles to one cube with no apply; the
+    // disjunction makes the applies whose counters must survive a vacuum.
     const auto preds = parse_all(
-        {"ip.src = 10.0.0.1 and tcp.dst = 80", "ip.src = 10.0.0.2"});
+        {"(ip.src = 10.0.0.1 or ip.src = 10.0.0.3) and tcp.dst = 80",
+         "ip.src = 10.0.0.2"});
     const Classifier classifier(analyzer, preds);
     const long long applies = analyzer.bdd_apply_count();
     const std::size_t grown = analyzer.manager().node_count();
@@ -283,6 +289,118 @@ TEST(Classifier, VacuumAccumulatesRetiredCountersAndShrinksNodes) {
     EXPECT_TRUE(matches(preds[1], k));
     EXPECT_TRUE(analyzer.satisfiable(preds[1]));
     EXPECT_EQ(analyzer.witness(preds[1]).get("ip.src"), 0x0a000002u);
+}
+
+// ------------------------------------------------------- overlap search
+
+using Pair = std::pair<std::size_t, std::size_t>;
+
+// Every pair some packet matches both, by one whole-policy DAG.
+std::vector<Pair> co_matched(const std::vector<ir::PredPtr>& preds) {
+    Analyzer analyzer;
+    const Classifier classifier(analyzer, preds);
+    std::set<Pair> pairs;
+    for (const auto& set : classifier.match_sets())
+        for (std::size_t a = 0; a < set.size(); ++a)
+            for (std::size_t b = a + 1; b < set.size(); ++b)
+                pairs.emplace(set[a], set[b]);
+    return {pairs.begin(), pairs.end()};
+}
+
+// A statement testing any subset of the four pivot fields over a few hosts
+// (addresses sometimes carry bits above the field width), maybe a port,
+// maybe under a disjunction, negation or payload atom.
+ir::PredPtr random_statement(Rng& rng) {
+    static const char* const pivots[] = {"eth.src", "eth.dst", "ip.src",
+                                         "ip.dst"};
+    ir::PredPtr out;
+    const auto add = [&](ir::PredPtr term) {
+        out = out ? ir::pred_and(out, std::move(term)) : std::move(term);
+    };
+    for (int k = 0; k < 4; ++k) {
+        if (!rng.chance(0.6)) continue;
+        const int width = k < 2 ? 48 : 32;
+        std::uint64_t value = static_cast<std::uint64_t>(rng.uniform(1, 3));
+        if (rng.chance(0.1)) value |= std::uint64_t{1} << width;
+        add(ir::pred_test(pivots[k], value));
+    }
+    if (rng.chance(0.5))
+        add(ir::pred_test("tcp.dst",
+                          static_cast<std::uint64_t>(rng.uniform(80, 81))));
+    if (rng.chance(0.1))
+        add(ir::pred_or(ir::pred_test("tcp.src", 1),
+                        ir::pred_test("ip.src",
+                                      static_cast<std::uint64_t>(
+                                          rng.uniform(1, 3)))));
+    if (rng.chance(0.1))
+        add(ir::pred_not(ir::pred_test(
+            "eth.dst", static_cast<std::uint64_t>(rng.uniform(1, 3)))));
+    if (rng.chance(0.05)) add(ir::pred_payload("x"));
+    return out ? out : ir::pred_true();
+}
+
+TEST(Overlaps, SearchReportsExactlyTheWholePolicyDagsPairs) {
+    Rng rng(5);
+    std::size_t pairs = 0;
+    std::size_t dag = 0;
+    std::size_t wildcard = 0;
+    for (int trial = 0; trial < 300; ++trial) {
+        std::vector<ir::PredPtr> preds;
+        const int n = static_cast<int>(rng.uniform(2, 10));
+        for (int i = 0; i < n; ++i) preds.push_back(random_statement(rng));
+        const std::vector<Pair> want = co_matched(preds);
+        Analyzer analyzer;
+        const Overlaps found = overlapping_pairs(analyzer, preds);
+        EXPECT_EQ(found.pairs, want) << "trial " << trial;
+        for (std::size_t f = 0; f < preds.size(); ++f) {
+            std::vector<Pair> with;
+            for (const Pair& pair : want)
+                if (pair.first == f || pair.second == f) with.push_back(pair);
+            EXPECT_EQ(overlapping_pairs_with(analyzer, preds, f).pairs, with)
+                << "trial " << trial << ", statement " << f;
+        }
+        pairs += want.size();
+        dag += found.dag_predicates;
+        wildcard += found.wildcard_tests;
+    }
+    // Overlaps, key buckets or wildcard DAGs, and wildcard tests all occur.
+    EXPECT_GT(pairs, 100u);
+    EXPECT_GT(dag, 100u);
+    EXPECT_GT(wildcard, 100u);
+}
+
+TEST(Overlaps, KeysMaskValuesToTheFieldWidth) {
+    // eth.src = 2^48 + 1 is eth.src = 1 to the compile, so the two keys
+    // are one key and the statements overlap.
+    const std::vector<ir::PredPtr> preds{
+        ir::pred_and(ir::pred_test("eth.src", 1), ir::pred_test("eth.dst", 2)),
+        ir::pred_and(ir::pred_test("eth.src", 1 + (std::uint64_t{1} << 48)),
+                     ir::pred_test("eth.dst", 2))};
+    Analyzer analyzer;
+    EXPECT_EQ(overlapping_pairs(analyzer, preds).pairs,
+              (std::vector<Pair>{{0, 1}}));
+    EXPECT_EQ(overlapping_pairs_with(analyzer, preds, 1).pairs,
+              (std::vector<Pair>{{0, 1}}));
+}
+
+TEST(Overlaps, DistinctKeysCompileNothingOnEitherPivot) {
+    std::vector<ir::PredPtr> eth;
+    std::vector<ir::PredPtr> ip;
+    for (std::uint64_t src = 1; src <= 8; ++src)
+        for (std::uint64_t dst = 1; dst <= 8; ++dst) {
+            eth.push_back(ir::pred_and(ir::pred_test("eth.src", src),
+                                       ir::pred_test("eth.dst", dst)));
+            ip.push_back(ir::pred_and(ir::pred_test("ip.src", src),
+                                      ir::pred_test("ip.dst", dst)));
+        }
+    for (const auto& preds : {eth, ip}) {
+        Analyzer analyzer;
+        const Overlaps found = overlapping_pairs(analyzer, preds);
+        EXPECT_TRUE(found.pairs.empty());
+        EXPECT_EQ(found.dag_predicates, 0u);
+        EXPECT_EQ(found.wildcard_tests, 0u);
+        EXPECT_EQ(analyzer.compile_count(), 0);
+    }
 }
 
 }  // namespace

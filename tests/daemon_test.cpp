@@ -481,6 +481,35 @@ TEST(Daemon, DeeplyNestedAddIsRefusedAndTheControlPlaneLives) {
     EXPECT_EQ(next.generation, generation + 1);
 }
 
+TEST(Daemon, OverlappingAddIsAnArgumentRefusalAndTheNextCommandIsServed) {
+    // `w` pins only eth.src = h2, so every packet `b` matches (h2 -> h1)
+    // is w's too. The engine's pre-check refuses the add before the lint
+    // gate runs.
+    Harness h;
+    ASSERT_TRUE(h.ctl().apply_line("remove b").ok);
+    const core::Addressing addressing(h.topo);
+    const std::string w = ir::to_string(
+        ir::pred_test("eth.src", addressing.mac(h.topo.require("h2"))));
+    ASSERT_TRUE(h.ctl().apply_line("add w : " + w + " -> .*").ok);
+    const std::uint64_t generation = h.ctl().generation();
+    const auto before = h.ctl().snapshot();
+    const std::string b = ir::to_string(addressing.pair_predicate(
+        h.topo.require("h2"), h.topo.require("h1")));
+    const Response r = h.ctl().apply_line("add b : " + b + " -> .*");
+    EXPECT_FALSE(r.ok);
+    EXPECT_EQ(r.code, Refusal::argument) << r.to_line();
+    EXPECT_EQ(r.detail, "statements 'w' and 'b' have overlapping predicates");
+    EXPECT_EQ(h.ctl().generation(), generation);
+    EXPECT_EQ(h.ctl().snapshot().get(), before.get());
+
+    const Response next = h.ctl().apply_line("remove w");
+    ASSERT_TRUE(next.ok) << next.to_line();
+    EXPECT_EQ(next.generation, generation + 1);
+    const Response added = h.ctl().apply_line("add b : " + b + " -> .*");
+    ASSERT_TRUE(added.ok) << added.to_line();
+    EXPECT_EQ(added.generation, generation + 2);
+}
+
 TEST(Daemon, ResponseWireFormIsDeterministic) {
     Response ok;
     ok.ok = true;

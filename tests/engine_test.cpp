@@ -749,36 +749,23 @@ TEST(Engine, PublishHookFiresOncePerCompletedDeltaIncludingInfeasible) {
 
 // ------------------------------------------------ disjointness pre-check
 
-// The reference rule: one shared DAG over every statement, where a
-// co-matched pair is an error when both statements pin the same (src, dst)
-// endpoints or either pins neither. Returns the smallest such pair.
+// The reference rule: one shared DAG over every statement, where every
+// co-matched pair is an error. Returns the smallest such pair.
 std::optional<std::pair<std::size_t, std::size_t>> smallest_reportable_pair(
-    const ir::Policy& policy, const topo::Topology& t) {
-    const core::Addressing addressing(t);
+    const ir::Policy& policy) {
     std::vector<ir::PredPtr> preds;
-    std::vector<core::Addressing::Endpoints> ends;
-    for (const ir::Statement& s : policy.statements) {
+    for (const ir::Statement& s : policy.statements)
         preds.push_back(s.predicate);
-        ends.push_back(addressing.endpoints(s.predicate));
-    }
     pred::Analyzer analyzer;
     const pred::Classifier classifier(analyzer, preds);
-    const auto unpinned = [](const core::Addressing::Endpoints& e) {
-        return !e.src && !e.dst;
-    };
     std::optional<std::pair<std::size_t, std::size_t>> first;
-    for (const auto& set : classifier.match_sets())
-        for (std::size_t i = 0; i < set.size(); ++i)
-            for (std::size_t j = i + 1; j < set.size(); ++j) {
-                const auto& a = ends[set[i]];
-                const auto& b = ends[set[j]];
-                if (!unpinned(a) && !unpinned(b) &&
-                    (a.src != b.src || a.dst != b.dst))
-                    continue;
-                const std::pair<std::size_t, std::size_t> pair{set[i],
-                                                               set[j]};
-                if (!first || pair < *first) first = pair;
-            }
+    // Terminal sets ascend, so a set's two smallest members are its
+    // smallest pair.
+    for (const auto& set : classifier.match_sets()) {
+        if (set.size() < 2) continue;
+        const std::pair<std::size_t, std::size_t> pair{set[0], set[1]};
+        if (!first || pair < *first) first = pair;
+    }
     return first;
 }
 
@@ -829,9 +816,9 @@ TEST(Engine, BucketedDisjointnessCheckMatchesTheSharedDagRule) {
     Rng rng(41);
     int accepted = 0;
     int refused = 0;
-    for (int trial = 0; trial < 120; ++trial) {
+    for (int trial = 0; trial < 240; ++trial) {
         const ir::Policy p = mixed_pinning_policy(t, rng);
-        const auto want = smallest_reportable_pair(p, t);
+        const auto want = smallest_reportable_pair(p);
         try {
             const Engine engine(p, t, {});
             EXPECT_FALSE(want) << "trial " << trial << ": "
@@ -860,6 +847,133 @@ TEST(Engine, AllPairsPreCheckCompilesNoPredicate) {
     const Engine engine(bench::all_pairs_policy(t, 1, mb_per_sec(5)), t, {});
     EXPECT_EQ(engine.totals().predicate_compiles, 0);
     EXPECT_EQ(engine.totals().bdd_nodes, 2);  // the two terminals
+    EXPECT_EQ(engine.totals().disjoint_dag_statements, 0);
+    EXPECT_EQ(engine.totals().disjoint_wildcard_tests, 0);
+}
+
+TEST(Engine, IpAllPairsPreCheckPivotsOnIpAndCompilesNoPredicate) {
+    // More statements test both IP fields than both MAC fields, so the key
+    // is (ip.src, ip.dst) and every bucket is again a singleton.
+    const topo::Topology t = topo::fat_tree(4);
+    const core::Addressing addressing(t);
+    ir::Policy p;
+    for (const topo::NodeId src : t.hosts())
+        for (const topo::NodeId dst : t.hosts()) {
+            if (src == dst) continue;
+            ir::Statement s;
+            s.id = indexed("t", static_cast<long long>(p.statements.size()));
+            s.predicate =
+                ir::pred_and(ir::pred_test("ip.src", addressing.ip(src)),
+                             ir::pred_test("ip.dst", addressing.ip(dst)));
+            s.path = ir::path_any_star();
+            p.statements.push_back(std::move(s));
+        }
+    const Engine engine(p, t, {});
+    EXPECT_EQ(engine.totals().predicate_compiles, 0);
+    EXPECT_EQ(engine.totals().disjoint_dag_statements, 0);
+    EXPECT_EQ(engine.totals().disjoint_wildcard_tests, 0);
+}
+
+ir::Statement statement(const std::string& id, ir::PredPtr predicate) {
+    return ir::Statement{id, std::move(predicate), ir::path_any_star()};
+}
+
+// Both the batch pre-check and an add_statement delta refuse `a` and `b`
+// together, naming the pair; the refused delta publishes nothing.
+void expect_overlap_refused(const topo::Topology& t, const ir::Statement& a,
+                            const ir::Statement& b) {
+    const std::string message =
+        "statements 'a' and 'b' have overlapping predicates";
+    ir::Policy both;
+    both.statements = {a, b};
+    try {
+        const Engine engine(both, t, {});
+        ADD_FAILURE() << "batch compile accepted the overlap";
+    } catch (const Policy_error& e) {
+        EXPECT_EQ(std::string(e.what()), message);
+    }
+    ir::Policy first;
+    first.statements = {a};
+    Engine engine(first, t, {});
+    const std::uint64_t generation = engine.generation();
+    try {
+        (void)engine.add_statement(b);
+        ADD_FAILURE() << "add_statement accepted the overlap";
+    } catch (const Policy_error& e) {
+        EXPECT_EQ(std::string(e.what()), message);
+    }
+    EXPECT_EQ(engine.generation(), generation);
+    EXPECT_FALSE(engine.has_statement("b"));
+}
+
+TEST(Engine, PreCheckRefusesAHalfPinnedOverlap) {
+    // `a` pins only eth.src; `b` pins the pair. Their inferred host pairs
+    // differ, yet a packet from the first host to the second matches both.
+    const topo::Topology t = topo::fat_tree(4);
+    const core::Addressing addressing(t);
+    const auto hosts = t.hosts();
+    expect_overlap_refused(
+        t, statement("a", ir::pred_test("eth.src", addressing.mac(hosts[0]))),
+        statement("b", addressing.pair_predicate(hosts[0], hosts[1])));
+}
+
+TEST(Engine, PreCheckRefusesPinsThroughDifferentFields) {
+    // `a` pins its destination by ip.dst, `b` by eth.dst: both infer a full
+    // host pair, and the pairs differ, but the fields are independent.
+    const topo::Topology t = topo::fat_tree(4);
+    const core::Addressing addressing(t);
+    const auto hosts = t.hosts();
+    expect_overlap_refused(
+        t,
+        statement("a", ir::pred_and(
+                           ir::pred_test("eth.src", addressing.mac(hosts[0])),
+                           ir::pred_test("ip.dst", addressing.ip(hosts[1])))),
+        statement("b", addressing.pair_predicate(hosts[0], hosts[2])));
+}
+
+TEST(Engine, PreCheckCountsItsDagAndWildcardWork) {
+    const topo::Topology t = topo::fat_tree(4);
+    const core::Addressing addressing(t);
+    const auto hosts = t.hosts();
+    const auto pair = [&](std::size_t src, std::size_t dst) {
+        return addressing.pair_predicate(hosts[src], hosts[dst]);
+    };
+    const auto port = [](std::uint64_t value) {
+        return ir::pred_test("tcp.dst", value);
+    };
+    ir::Policy p;
+    p.statements = {
+        statement("k0", pair(0, 1)),
+        statement("k1", pair(0, 2)),
+        // One key, split by port: a bucket of two.
+        statement("k2", ir::pred_and(pair(0, 3), port(80))),
+        statement("k3", ir::pred_and(pair(0, 3), port(22))),
+        // Half-pinned, and pinned through ip.dst: wildcards.
+        statement("w0", ir::pred_test("eth.src", addressing.mac(hosts[4]))),
+        statement("w1",
+                  ir::pred_and(
+                      ir::pred_test("eth.src", addressing.mac(hosts[5])),
+                      ir::pred_test("ip.dst", addressing.ip(hosts[6])))),
+    };
+    Engine engine(p, t, {});
+    // The bucket and the two wildcards went through DAGs; each of the four
+    // keyed statements was tested against the wildcards' OR.
+    EXPECT_EQ(engine.totals().disjoint_dag_statements, 4);
+    EXPECT_EQ(engine.totals().disjoint_wildcard_tests, 4);
+
+    // A fresh keyed statement is tested against the wildcards once, and
+    // against its own key's bucket (empty here); no DAG.
+    const Update_result keyed =
+        engine.add_statement(statement("k4", pair(7, 8)));
+    EXPECT_EQ(keyed.work.disjoint_dag_statements, 0);
+    EXPECT_EQ(keyed.work.disjoint_wildcard_tests, 1);
+    // A fresh wildcard is tested against every statement directly.
+    const Update_result wildcard = engine.add_statement(
+        statement("w2", ir::pred_test("eth.src", addressing.mac(hosts[9]))));
+    EXPECT_EQ(wildcard.work.disjoint_dag_statements, 0);
+    EXPECT_EQ(wildcard.work.disjoint_wildcard_tests, 0);
+    EXPECT_EQ(engine.totals().disjoint_dag_statements, 4);
+    EXPECT_EQ(engine.totals().disjoint_wildcard_tests, 5);
 }
 
 TEST(Engine, PredicateMemoryStaysFlatAcrossLongDeltaChurn) {

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "ir/fields.h"
 #include "parser/parser.h"
@@ -274,6 +277,158 @@ TEST(Pred, HeaderBitsCompiledAfterManyNeedlesKeepTheirMeaning) {
                   matches(p, k))
             << "udp.dst=" << k.get("udp.dst") << " payload \"" << k.payload
             << '"';
+}
+
+// ------------------------------------------- conjunctions as one cube
+
+// The compile without cubes over several fields: each field test its own
+// single-field cube, each operator one apply, in the analyzer under test,
+// so both sides share one hash-consed space and equal functions are equal
+// nodes. A payload atom is the analyzer's own variable.
+bdd::Node apply_chain(Analyzer& a, const ir::PredPtr& p) {
+    bdd::Manager& m = a.manager();
+    switch (p->kind) {
+        case ir::Pred_kind::true_: return bdd::kTrue;
+        case ir::Pred_kind::false_: return bdd::kFalse;
+        case ir::Pred_kind::test: {
+            const auto f = ir::find_field(p->field);
+            return m.cube(f->bit_offset, f->width, p->value);
+        }
+        case ir::Pred_kind::payload: return a.compile(p);
+        case ir::Pred_kind::and_:
+            return m.apply_and(apply_chain(a, p->lhs), apply_chain(a, p->rhs));
+        case ir::Pred_kind::or_:
+            return m.apply_or(apply_chain(a, p->lhs), apply_chain(a, p->rhs));
+        case ir::Pred_kind::not_: return m.negate(apply_chain(a, p->lhs));
+    }
+    return bdd::kFalse;
+}
+
+// A field test on one of a few fields: small values that repeat (so one
+// field is often tested twice, equal or conflicting), values with bits
+// above the field width (which the compile masks off), and full-width
+// random ones.
+ir::PredPtr random_test(Rng& rng) {
+    static const char* const names[] = {"eth.src", "eth.dst", "ip.src",
+                                        "tcp.dst", "ip.proto"};
+    const auto f = *ir::find_field(names[rng.uniform(0, 4)]);
+    const std::uint64_t small = static_cast<std::uint64_t>(rng.uniform(1, 3));
+    switch (rng.uniform(0, 3)) {
+        case 0:
+        case 1: return ir::pred_test(f.name, small);
+        case 2:
+            return ir::pred_test(f.name, small | std::uint64_t{1} << f.width);
+        default:
+            return ir::pred_test(
+                f.name, static_cast<std::uint64_t>(rng.uniform(
+                            0, std::numeric_limits<std::int64_t>::max())));
+    }
+}
+
+// A conjunction of 1-8 conjuncts in a random and-tree shape; a conjunct is
+// a field test, true, false, a payload atom, or a nested or/not over
+// smaller conjunctions.
+ir::PredPtr random_conjunction(Rng& rng, int depth) {
+    std::vector<ir::PredPtr> parts;
+    const int n = static_cast<int>(rng.uniform(1, 8));
+    for (int i = 0; i < n; ++i) {
+        const std::int64_t pick = rng.uniform(0, 19);
+        if (pick < 12 || depth == 0) {
+            parts.push_back(random_test(rng));
+        } else if (pick < 14) {
+            parts.push_back(ir::pred_true());
+        } else if (pick < 15) {
+            parts.push_back(ir::pred_false());
+        } else if (pick < 16) {
+            parts.push_back(ir::pred_payload(rng.chance(0.5) ? "x" : "y"));
+        } else if (pick < 18) {
+            parts.push_back(ir::pred_or(random_conjunction(rng, depth - 1),
+                                        random_conjunction(rng, depth - 1)));
+        } else {
+            parts.push_back(ir::pred_not(random_conjunction(rng, depth - 1)));
+        }
+    }
+    // Random tree shape: repeatedly join two adjacent parts.
+    while (parts.size() > 1) {
+        const auto at = static_cast<std::size_t>(
+            rng.uniform(0, static_cast<std::int64_t>(parts.size()) - 2));
+        parts[at] = ir::pred_and(parts[at], parts[at + 1]);
+        parts.erase(parts.begin() + static_cast<std::ptrdiff_t>(at) + 1);
+    }
+    return parts.front();
+}
+
+TEST(Pred, ConjunctionsCompileToTheNodeOfTheApplyChain) {
+    Rng rng(29);
+    Analyzer a;
+    int unsat = 0;
+    for (int round = 0; round < 400; ++round) {
+        const ir::PredPtr p = random_conjunction(rng, 2);
+        const bdd::Node compiled = a.compile(p);
+        EXPECT_EQ(compiled, apply_chain(a, p)) << ir::to_string(p);
+        unsat += compiled == bdd::kFalse ? 1 : 0;
+    }
+    // Conflicting tests and false conjuncts are exercised, and so is
+    // everything else.
+    EXPECT_GT(unsat, 20);
+    EXPECT_LT(unsat, 380);
+}
+
+TEST(Pred, FieldTestConjunctionIsOneCubeWithNoApply) {
+    Analyzer a;
+    (void)a.compile(parse_predicate(
+        "eth.src = 00:00:00:00:00:01 and eth.dst = 00:00:00:00:00:02 and "
+        "tcp.dst = 80"));
+    // One node per tested bit (48 + 48 + 16) plus the two terminals.
+    EXPECT_EQ(a.manager().node_count(), 2u + 48 + 48 + 16);
+    EXPECT_EQ(a.bdd_apply_count(), 0);
+    // A repeated equal test is one test; a conflicting one is false.
+    EXPECT_EQ(a.compile(parse_predicate(
+                  "tcp.dst = 80 and ip.proto = 6 and tcp.dst = 80")),
+              a.compile(parse_predicate("ip.proto = 6 and tcp.dst = 80")));
+    EXPECT_EQ(a.compile(parse_predicate("tcp.dst = 80 and tcp.dst = 22")),
+              bdd::kFalse);
+    // Bits above the field width are masked, as a single test's are.
+    EXPECT_EQ(a.compile(ir::pred_and(ir::pred_test("tcp.dst", 80),
+                                     ir::pred_test("tcp.dst", 80 + 65536))),
+              a.compile(ir::pred_test("tcp.dst", 80)));
+    EXPECT_EQ(a.bdd_apply_count(), 0);
+}
+
+TEST(Pred, DefaultConjunctionReusesCompiledMemberRoots) {
+    // The catch-all statement `true and !p1 and ... and !pn`: over the very
+    // member nodes the analyzer compiled, each member's root comes from the
+    // identity memo; over equal copies, each is compiled again (its `or`
+    // costs at least one apply step, even when the apply cache answers).
+    std::vector<std::string> texts;
+    for (int i = 0; i < 8; ++i)
+        texts.push_back("(tcp.dst = " + std::to_string(80 + i) +
+                        " or tcp.dst = 443) and ip.src = 10.0.0." +
+                        std::to_string(i + 1));
+    const auto catch_all = [](const std::vector<ir::PredPtr>& members) {
+        ir::PredPtr rest = ir::pred_true();
+        for (const ir::PredPtr& m : members)
+            rest = ir::pred_and(rest, ir::pred_not(m));
+        return rest;
+    };
+    const auto work = [&](bool same_nodes) {
+        Analyzer a;
+        std::vector<ir::PredPtr> members;
+        for (const std::string& t : texts) {
+            members.push_back(parse_predicate(t));
+            (void)a.compile(members.back());
+        }
+        std::vector<ir::PredPtr> copies;
+        for (const std::string& t : texts)
+            copies.push_back(parse_predicate(t));
+        const ir::PredPtr rest = catch_all(same_nodes ? members : copies);
+        const long long before = a.bdd_apply_count();
+        const bdd::Node root = a.compile(rest);
+        const long long applies = a.bdd_apply_count() - before;
+        EXPECT_EQ(root, apply_chain(a, rest));
+        return applies;
+    };
+    EXPECT_LE(work(true) + static_cast<long long>(texts.size()), work(false));
 }
 
 // Property sweep: the BDD compilation must agree with the direct evaluator

@@ -18,8 +18,9 @@
 //   --jobs <n>                  front-end worker threads (default: the
 //                               MERLIN_THREADS env var, then all cores)
 //   --programs                  also print per-host interpreter programs
-//   --stats                     solver work counters and the timing
-//                               breakdown (Table 7 columns)
+//   --stats                     solver work counters, the timing
+//                               breakdown (Table 7 columns) and the
+//                               disjointness pre-check's DAG/wildcard work
 //   --updates <file>            after compiling, replay a delta script
 //                               against the incremental engine, printing
 //                               per-update timing and cache statistics
@@ -366,6 +367,11 @@ int main(int argc, char** argv) {
                           << "ms lp_solve=" << t.lp_solve_ms
                           << "ms rateless=" << t.rateless_ms
                           << "ms threads=" << compiled.threads_used << '\n';
+                const core::Engine_stats& work = engine.totals();
+                std::cout << "disjointness pre-check: dag_statements="
+                          << work.disjoint_dag_statements
+                          << " wildcard_tests="
+                          << work.disjoint_wildcard_tests << '\n';
             }
             // User statements only (the compiler-added catch-all is not one).
             std::size_t statements = compiled.plans.size();
