@@ -42,6 +42,13 @@
 // replay oracle accepts is judged on the same traffic — just on all of it.
 #pragma once
 
+#include <array>
+#include <map>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "analysis/analysis.h"
 #include "codegen/codegen.h"
 #include "codegen/diff.h"
@@ -73,6 +80,45 @@ namespace merlin::analysis {
                                   const codegen::Configuration& new_config,
                                   const topo::Topology& topo);
 
+// One table a two-phase update passes through, as propagation reads it:
+// per device, its flow rules in priority order and its Click forwards as
+// "<in tag> -> <out tag> toward <device>".
+struct Phase_table {
+    std::map<std::string, std::vector<codegen::Flow_rule>> rules;
+    std::map<std::string, std::vector<std::string>> clicks;
+};
+
+// The four tables check_update replays (pre-update, after prepare, after
+// commit, post-update). The middle two are overlays of the pre-update
+// table: only devices the diff names get lists of their own. Exposed so
+// tests can hold them to codegen::apply_prepare and apply_commit.
+[[nodiscard]] std::array<Phase_table, 4> phase_tables(
+    const codegen::Configuration& old_config, const codegen::Diff& diff,
+    const codegen::Configuration& new_config, const topo::Topology& topo);
+
+// What one Update_checker step proved afresh and what it reused; the
+// checker keeps the last step's and the running totals.
+struct Proof_counts {
+    long long classes_proved = 0;
+    long long classes_reused = 0;
+    long long phase_replays = 0;  // classes whose four phases were replayed
+    long long devices_checked = 0;
+    long long devices_reused = 0;
+    // Steps that could reuse nothing, by cause.
+    long long full_proofs = 0;
+    long long full_first = 0;  // the first generation
+    long long full_link = 0;   // link state changed since the last step
+
+    Proof_counts& operator+=(const Proof_counts& other);
+};
+
+// "classes_proved=N classes_reused=N ... full_link=N", one line.
+[[nodiscard]] std::string to_text(const Proof_counts& counts);
+
+namespace detail {
+struct Generation;
+}
+
 // Engine-hook adapter: feed each published Compilation (e.g. from
 // core::Engine::on_publish) and every generation is verified — the first
 // with check_dataplane, each subsequent one as a two-phase update from its
@@ -82,6 +128,12 @@ namespace merlin::analysis {
 // per call; the reports are the same, except that a payload witness may
 // name a different, equally valid needle (needle variables are numbered
 // in the order the space first met them).
+//
+// A step costs in proportion to its diff: the checker keeps, per class,
+// the (device, tag) states its last clean proof visited and, per device,
+// whether its static checks were clean, and reuses both where the diff
+// cannot reach them (dataplane.cpp states the rules). Copies share that
+// state, which is immutable once a step has built it.
 class Update_checker {
 public:
     // The report for this generation (empty when everything proves out).
@@ -92,6 +144,17 @@ public:
                               const topo::Topology& topo,
                               bool check_transition = true);
 
+    // step() without codegen: proves `config`, reached from the previous
+    // generation's tables by `diff`, as the next generation. The proof
+    // state advances to it and incremental() does not, so only a copy
+    // should be fed tables codegen did not produce (the fuzz cross-oracle
+    // proves corrupted copies this way).
+    [[nodiscard]] Report prove(
+        const core::Compilation& compilation,
+        std::shared_ptr<const codegen::Configuration> config,
+        const codegen::Diff& diff, const topo::Topology& topo,
+        bool check_transition = true);
+
     [[nodiscard]] const codegen::Configuration& config() const {
         return incremental_.config();
     }
@@ -100,11 +163,21 @@ public:
         return incremental_;
     }
 
+    [[nodiscard]] const Proof_counts& last_counts() const { return last_; }
+    [[nodiscard]] const Proof_counts& total_counts() const { return totals_; }
+    // The classes the last step reused, in class order, each with the
+    // (node, carried tag) states its proof visited (tag -1: untagged).
+    struct Reused_class {
+        std::string id;
+        std::vector<std::pair<topo::NodeId, int>> states;
+    };
+    [[nodiscard]] std::vector<Reused_class> reused_classes() const;
+
 private:
     codegen::Incremental incremental_;
-    bool seeded_ = false;
-    core::Compilation previous_;
-    codegen::Configuration previous_config_;
+    std::shared_ptr<const detail::Generation> previous_;
+    Proof_counts last_;
+    Proof_counts totals_;
 };
 
 }  // namespace merlin::analysis

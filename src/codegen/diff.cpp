@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstdint>
+#include <functional>
 #include <iterator>
 #include <map>
 #include <set>
@@ -42,15 +44,107 @@ auto full_key(const Flow_rule& r, Pred_text& text) {
                       r.queue.has_value(), r.queue.value_or(0));
 }
 
-// Rule identity is the match side only; two rules with equal identity but
-// different actions are one modify. The leading bool separates tag rules
-// from predicate rules, so the two populations never pair.
-auto identity_key(const Flow_rule& r, Pred_text& text) {
-    return std::tuple(r.match_tag.has_value(), std::string_view(r.device),
-                      r.priority, r.match_tag.value_or(0), text(r.match),
-                      r.match_dst_mac.has_value(),
-                      r.match_dst_mac.value_or(0));
+void mix(std::size_t& h, std::size_t v) {
+    h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
 }
+
+// Per-call structural ids for rule predicates (0 is the wildcard): a
+// pointer hit first, otherwise a structural hash confirmed by ir::equal.
+// Predicate text is injective (ir/ast.h), so equal ids mean equal text.
+// Every node it sees must outlive it.
+class Pred_ids {
+public:
+    std::uint32_t operator()(const ir::PredPtr& p) {
+        if (!p) return 0;
+        const auto [slot, inserted] = by_node_.try_emplace(p.get(), 0);
+        if (!inserted) return slot->second;
+        std::vector<std::uint32_t>& same_hash = by_hash_[hash(*p)];
+        for (const std::uint32_t id : same_hash)
+            if (ir::equal(preds_[id - 1], p)) return slot->second = id;
+        preds_.push_back(p);
+        const auto id = static_cast<std::uint32_t>(preds_.size());
+        same_hash.push_back(id);
+        return slot->second = id;
+    }
+    [[nodiscard]] std::size_t size() const { return preds_.size(); }
+
+private:
+    // An `and` tree hashes its conjuncts left to right, walked with
+    // ir::conjuncts so a long chain adds no recursion; trees that differ
+    // only in how their conjuncts associate collide, and ir::equal tells
+    // them apart.
+    static std::size_t hash(const ir::Pred& p) {
+        std::size_t h = static_cast<std::size_t>(p.kind);
+        switch (p.kind) {
+            case ir::Pred_kind::true_:
+            case ir::Pred_kind::false_: break;
+            case ir::Pred_kind::test:
+                mix(h, std::hash<std::string>{}(p.field));
+                mix(h, p.value);
+                break;
+            case ir::Pred_kind::payload:
+                mix(h, std::hash<std::string>{}(p.needle));
+                break;
+            case ir::Pred_kind::and_:
+                for (const ir::Pred* c : ir::conjuncts(p)) mix(h, hash(*c));
+                break;
+            case ir::Pred_kind::or_:
+                mix(h, hash(*p.lhs));
+                mix(h, hash(*p.rhs));
+                break;
+            case ir::Pred_kind::not_: mix(h, hash(*p.lhs)); break;
+        }
+        return h;
+    }
+
+    std::unordered_map<const ir::Pred*, std::uint32_t> by_node_;
+    std::unordered_map<std::size_t, std::vector<std::uint32_t>> by_hash_;
+    std::vector<ir::PredPtr> preds_;  // id - 1 -> first node seen
+};
+
+// Every field of a rule, its predicate as a Pred_ids id: identical rules
+// cancel on this key.
+struct Rule_fields {
+    std::string_view device;
+    std::string_view out_port;
+    std::uint64_t dst_mac = 0;
+    std::uint32_t pred = 0;
+    int priority = 0;
+    int match_tag = 0;
+    int set_tag = 0;
+    int queue = 0;
+    unsigned flags = 0;
+    bool operator==(const Rule_fields&) const = default;
+};
+
+Rule_fields fields_of(const Flow_rule& r, std::uint32_t pred) {
+    return {r.device,
+            r.out_port,
+            r.match_dst_mac.value_or(0),
+            pred,
+            r.priority,
+            r.match_tag.value_or(0),
+            r.set_tag.value_or(0),
+            r.queue.value_or(0),
+            (r.match_tag ? 1U : 0U) | (r.match_dst_mac ? 2U : 0U) |
+                (r.drop ? 4U : 0U) | (r.set_tag ? 8U : 0U) |
+                (r.strip_tag ? 16U : 0U) | (r.queue ? 32U : 0U)};
+}
+
+struct Rule_fields_hash {
+    std::size_t operator()(const Rule_fields& k) const {
+        std::size_t h = std::hash<std::string_view>{}(k.device);
+        mix(h, std::hash<std::string_view>{}(k.out_port));
+        mix(h, k.dst_mac);
+        mix(h, k.pred);
+        mix(h, static_cast<std::size_t>(k.priority));
+        mix(h, static_cast<std::size_t>(k.match_tag));
+        mix(h, static_cast<std::size_t>(k.set_tag));
+        mix(h, static_cast<std::size_t>(k.queue));
+        mix(h, k.flags);
+        return h;
+    }
+};
 
 // A predicate as a tuple element that compares structurally: by node
 // first, then by tree (ir::equal), never by rendered text.
@@ -223,49 +317,105 @@ bool equal(const Configuration& a, const Configuration& b) {
 Diff diff(const Configuration& old_config, const Configuration& new_config) {
     Diff out;
 
-    // Flow rules: first cancel rules present identically on both sides,
-    // then pair the leftovers by identity key — same identity with a new
-    // action is a modify, the rest are installs/removes routed to the tag
-    // (phases 1/3) or classifier (phase 2) buckets. Both passes key on
-    // text order, so the diff's operation order is canonical.
-    Pred_text text;
-    std::map<decltype(full_key(Flow_rule{}, text)),
-             std::vector<const Flow_rule*>>
-        pool;
-    for (const Flow_rule& r : old_config.flow_rules)
-        pool[full_key(r, text)].push_back(&r);
-    std::vector<const Flow_rule*> old_left, new_left;
-    for (const Flow_rule& r : new_config.flow_rules) {
-        auto it = pool.find(full_key(r, text));
-        if (it != pool.end() && !it->second.empty())
-            it->second.pop_back();
-        else
-            new_left.push_back(&r);
+    // Flow rules: identical rules cancel through a hash map on every field;
+    // the leftovers pair by identity (the match side) — same identity with
+    // a new action is a modify, the rest are installs/removes routed to the
+    // tag (phases 1/3) or classifier (phase 2) buckets. Only the leftovers
+    // are ordered: by identity, with each distinct predicate ranked by its
+    // text, then olds by action and news in emission order, so the
+    // operation order is canonical.
+    Pred_ids ids;
+    struct Pooled {
+        int count = 0;
+        const Flow_rule* rule = nullptr;
+    };
+    std::unordered_map<Rule_fields, Pooled, Rule_fields_hash> pool;
+    pool.reserve(old_config.flow_rules.size());
+    for (const Flow_rule& r : old_config.flow_rules) {
+        Pooled& entry = pool[fields_of(r, ids(r.match))];
+        if (entry.count++ == 0) entry.rule = &r;
     }
-    for (const auto& [k, left] : pool)
-        old_left.insert(old_left.end(), left.begin(), left.end());
+    struct Leftover {
+        const Flow_rule* rule;
+        std::uint32_t pred;
+    };
+    std::vector<Leftover> old_left, new_left;
+    for (const Flow_rule& r : new_config.flow_rules) {
+        const std::uint32_t pred = ids(r.match);
+        const auto it = pool.find(fields_of(r, pred));
+        if (it != pool.end() && it->second.count > 0)
+            --it->second.count;
+        else
+            new_left.push_back({&r, pred});
+    }
+    for (const auto& [fields, entry] : pool)
+        for (int i = 0; i < entry.count; ++i)
+            old_left.push_back({entry.rule, fields.pred});
 
-    std::map<decltype(identity_key(Flow_rule{}, text)),
-             std::pair<std::vector<const Flow_rule*>,
-                       std::vector<const Flow_rule*>>>
-        by_identity;
-    for (const Flow_rule* r : old_left)
-        by_identity[identity_key(*r, text)].first.push_back(r);
-    for (const Flow_rule* r : new_left)
-        by_identity[identity_key(*r, text)].second.push_back(r);
-    for (const auto& [key, sides] : by_identity) {
-        const auto& [olds, news] = sides;
+    std::vector<std::uint32_t> rank(ids.size() + 1, 0);  // 0: the wildcard
+    {
+        std::vector<std::pair<std::string, std::uint32_t>> texts;
+        for (const auto* side : {&old_left, &new_left})
+            for (const Leftover& l : *side)
+                if (l.pred != 0 && rank[l.pred] == 0) {
+                    rank[l.pred] = 1;
+                    texts.emplace_back(ir::to_string(l.rule->match), l.pred);
+                }
+        std::sort(texts.begin(), texts.end());
+        for (std::size_t i = 0; i < texts.size(); ++i)
+            rank[texts[i].second] = static_cast<std::uint32_t>(i + 1);
+    }
+    // The leading bool separates tag rules from predicate rules, so the
+    // two populations never pair.
+    const auto identity = [&rank](const Leftover& l) {
+        const Flow_rule& r = *l.rule;
+        return std::tuple(r.match_tag.has_value(), std::string_view(r.device),
+                          r.priority, r.match_tag.value_or(0), rank[l.pred],
+                          r.match_dst_mac.has_value(),
+                          r.match_dst_mac.value_or(0));
+    };
+    const auto action = [](const Flow_rule& r) {
+        return std::tuple(r.drop, r.set_tag.has_value(), r.set_tag.value_or(0),
+                          r.strip_tag, std::string_view(r.out_port),
+                          r.queue.has_value(), r.queue.value_or(0));
+    };
+    std::sort(old_left.begin(), old_left.end(),
+              [&](const Leftover& a, const Leftover& b) {
+                  return std::pair(identity(a), action(*a.rule)) <
+                         std::pair(identity(b), action(*b.rule));
+              });
+    std::stable_sort(new_left.begin(), new_left.end(),
+                     [&](const Leftover& a, const Leftover& b) {
+                         return identity(a) < identity(b);
+                     });
+    for (std::size_t i = 0, j = 0;
+         i < old_left.size() || j < new_left.size();) {
+        const auto key =
+            j == new_left.size() ||
+                    (i < old_left.size() &&
+                     identity(old_left[i]) < identity(new_left[j]))
+                ? identity(old_left[i])
+                : identity(new_left[j]);
+        std::size_t old_end = i;
+        while (old_end < old_left.size() && identity(old_left[old_end]) == key)
+            ++old_end;
+        std::size_t new_end = j;
+        while (new_end < new_left.size() && identity(new_left[new_end]) == key)
+            ++new_end;
         const bool tagged = std::get<0>(key);
-        const std::size_t paired = std::min(olds.size(), news.size());
-        for (std::size_t i = 0; i < paired; ++i)
+        const std::size_t paired = std::min(old_end - i, new_end - j);
+        for (std::size_t k = 0; k < paired; ++k)
             (tagged ? out.tag_updates : out.classifier_updates)
-                .push_back(Rule_update{*olds[i], *news[i]});
-        for (std::size_t i = paired; i < news.size(); ++i)
+                .push_back(
+                    Rule_update{*old_left[i + k].rule, *new_left[j + k].rule});
+        for (std::size_t k = j + paired; k < new_end; ++k)
             (tagged ? out.tag_installs : out.classifier_installs)
-                .push_back(*news[i]);
-        for (std::size_t i = paired; i < olds.size(); ++i)
+                .push_back(*new_left[k].rule);
+        for (std::size_t k = i + paired; k < old_end; ++k)
             (tagged ? out.tag_removes : out.classifier_removes)
-                .push_back(*olds[i]);
+                .push_back(*old_left[k].rule);
+        i = old_end;
+        j = new_end;
     }
 
     // Queues: same identity (device, port, queue id) with new rates is a
@@ -543,7 +693,7 @@ Diff Incremental::update(const core::Compilation& compilation,
     analyzer_.begin_generation();
     Configuration next = generate(compilation, topo, naming_, analyzer_);
     std::vector<int> swept = naming_.collect_unused();
-    Diff d = diff(config_, next);
+    Diff d = diff(*config_, next);
     // The allocator sweep must cover the config-derived lifecycle: a tag
     // that vanished from the tables but was not swept means an identity
     // key stayed bound to rules that no longer exist — exactly the
@@ -554,7 +704,7 @@ Diff Incremental::update(const core::Compilation& compilation,
                           d.retired_tags.end()),
             "tag sweep disagrees with config-derived retirement");
     d.retired_tags = std::move(swept);
-    config_ = std::move(next);
+    config_ = std::make_shared<const Configuration>(std::move(next));
     return d;
 }
 

@@ -16,13 +16,14 @@
 //     forwards only old tags reference, and retire those tags into the
 //     allocator's free list for reuse.
 //
-// Rule identity is the match side (device, priority, tag, predicate text,
-// dst mac); equal identity with a different action is a modify. Tag rules
+// Rule identity is the match side (device, priority, tag, predicate, dst
+// mac); equal identity with a different action is a modify. Tag rules
 // essentially never modify — changed forwarding behaviour produces a fresh
 // tag by construction, because Naming keys embed the behaviour — but the
 // case is handled for completeness.
 #pragma once
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -113,19 +114,25 @@ void apply_cleanup(Configuration& config, const Diff& d);
 // generations, so a predicate that survives a delta is not recompiled;
 // each update() begins a generation of it (pred::Analyzer's vacuum rule
 // bounds its memory). analysis::Update_checker proves each generation in
-// the same space. Copies copy the space and evolve independently.
+// the same space. Copies copy the space and evolve independently; a
+// published configuration is immutable, so copies share it.
 class Incremental {
 public:
     Diff update(const core::Compilation& compilation,
                 const topo::Topology& topo);
-    [[nodiscard]] const Configuration& config() const { return config_; }
+    [[nodiscard]] const Configuration& config() const { return *config_; }
+    // config(), held past the next update() without a copy.
+    [[nodiscard]] std::shared_ptr<const Configuration> shared_config() const {
+        return config_;
+    }
     [[nodiscard]] const Naming& naming() const { return naming_; }
     [[nodiscard]] pred::Analyzer& analyzer() { return analyzer_; }
     [[nodiscard]] const pred::Analyzer& analyzer() const { return analyzer_; }
 
 private:
     Naming naming_;
-    Configuration config_;
+    std::shared_ptr<const Configuration> config_ =
+        std::make_shared<const Configuration>();
     pred::Analyzer analyzer_;
 };
 

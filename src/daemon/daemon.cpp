@@ -476,6 +476,10 @@ Response Controller::apply(const Command& command, int stream) {
                 " statements=" +
                 std::to_string(snap->compilation.plans.size()) +
                 " rules=" + std::to_string(snap->config.total_instructions());
+            // The verify gate's reuse counts, over the generations it kept.
+            if (options_.verify_updates)
+                resp.detail +=
+                    " " + analysis::to_text(checker_.total_counts());
             resp.ms = ms_since(start);
             return resp;
         }

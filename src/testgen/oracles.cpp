@@ -1263,16 +1263,127 @@ std::optional<std::string> Diff_oracle::step(
     return failure;
 }
 
+namespace {
+
+// The first difference between two reports in severity, check, subject or
+// message (witnesses may name different needles across spaces), or
+// nullopt when they agree in order.
+std::optional<std::string> report_mismatch(const analysis::Report& cached,
+                                           const analysis::Report& fresh) {
+    const std::size_t n = std::min(cached.size(), fresh.size());
+    for (std::size_t i = 0; i < n; ++i) {
+        const analysis::Diagnostic& a = cached[i];
+        const analysis::Diagnostic& b = fresh[i];
+        if (a.severity != b.severity || a.check != b.check ||
+            a.subject != b.subject || a.message != b.message)
+            return "finding " + std::to_string(i) + " is [" +
+                   analysis::to_text(a) + "] but an empty-cache proof says [" +
+                   analysis::to_text(b) + "]";
+    }
+    if (cached.size() == fresh.size()) return std::nullopt;
+    const analysis::Report& longer = cached.size() > n ? cached : fresh;
+    return std::to_string(cached.size()) +
+           " findings but an empty-cache proof reports " +
+           std::to_string(fresh.size()) + ", first extra [" +
+           analysis::to_text(longer[n]) + "]";
+}
+
+// Index of the rule a reused class's traffic first takes at one of its
+// proof's states: at the first state holding one, the highest-priority
+// forwarding rule (stably, in emission order) that admits the carried tag
+// and the class's destination and meets its predicate.
+std::optional<std::size_t> rule_on_path(
+    const codegen::Configuration& config, const topo::Topology& topo,
+    const analysis::Update_checker::Reused_class& cls,
+    const core::Compilation& compilation) {
+    const core::Statement_plan* plan = nullptr;
+    for (const core::Statement_plan& p : compilation.plans)
+        if (p.statement.id == cls.id) plan = &p;
+    if (plan == nullptr || !plan->dst_host) return std::nullopt;
+    const std::uint64_t dst = compilation.addressing.mac(*plan->dst_host);
+    pred::Analyzer analyzer;
+    for (const auto& [node, tag] : cls.states) {
+        const std::string& device = topo.node(node).name;
+        std::vector<std::size_t> rules;
+        for (std::size_t i = 0; i < config.flow_rules.size(); ++i)
+            if (config.flow_rules[i].device == device) rules.push_back(i);
+        std::stable_sort(rules.begin(), rules.end(),
+                         [&](std::size_t a, std::size_t b) {
+                             return config.flow_rules[a].priority >
+                                    config.flow_rules[b].priority;
+                         });
+        for (const std::size_t i : rules) {
+            const codegen::Flow_rule& r = config.flow_rules[i];
+            if (r.out_port.empty() || r.drop) continue;
+            if (r.match_tag && *r.match_tag != tag) continue;
+            if (r.match_dst_mac && *r.match_dst_mac != dst) continue;
+            if (r.match &&
+                analyzer.disjoint(r.match, plan->statement.predicate))
+                continue;
+            return i;
+        }
+    }
+    return std::nullopt;
+}
+
+}  // namespace
+
 std::optional<std::string> Symbolic_oracle::step(
     const core::Compilation& compilation, const topo::Topology& topo,
     bool check_transition) {
     if (!compilation.feasible) return std::nullopt;
+    const analysis::Update_checker before = checker_;
     analysis::Report report;
     try {
         report = checker_.step(compilation, topo, check_transition);
     } catch (const Error& e) {
         return fail("symbolic", std::string("checker threw: ") + e.what());
     }
+
+    // Cache cross-oracle: the step must report what an empty-cache proof of
+    // the same inputs reports, and so must the same cache on a copy of the
+    // tables with one forwarding rule removed from the path of a class the
+    // step reused (clean traces alone cannot catch a reach test that is
+    // too generous).
+    const bool transition = seeded_ && check_transition;
+    const auto fresh = [&](const codegen::Configuration& tables) {
+        return transition
+                   ? analysis::check_update(
+                         previous_, compilation, before.config(),
+                         codegen::diff(before.config(), tables), tables, topo)
+                   : analysis::check_dataplane(compilation, tables, topo);
+    };
+    const codegen::Configuration& config = checker_.config();
+    if (const auto mismatch = report_mismatch(report, fresh(config)))
+        return fail("symbolic-cache", *mismatch);
+    const auto reused = checker_.reused_classes();
+    if (!reused.empty()) {
+        if (const auto victim =
+                rule_on_path(config, topo, reused.front(), compilation)) {
+            auto corrupted = std::make_shared<codegen::Configuration>(config);
+            const std::string removed =
+                codegen::to_text(corrupted->flow_rules[*victim]);
+            corrupted->flow_rules.erase(corrupted->flow_rules.begin() +
+                                        static_cast<std::ptrdiff_t>(*victim));
+            analysis::Update_checker seeded = before;
+            const analysis::Report cached = seeded.prove(
+                compilation, corrupted,
+                codegen::diff(before.config(), *corrupted), topo,
+                check_transition);
+            const analysis::Report expected = fresh(*corrupted);
+            const std::string context = "with [" + removed +
+                                        "] removed from the path of '" +
+                                        reused.front().id + "': ";
+            if (const auto mismatch = report_mismatch(cached, expected))
+                return fail("symbolic-cache", context + *mismatch);
+            if (!analysis::has_errors(expected))
+                return fail("symbolic-cache",
+                            context + "the tables still prove out");
+        }
+    }
+    previous_ = compilation;
+    seeded_ = true;
+
     // Warnings fail the oracle too: a generated configuration is expected
     // to contain no dead rules, so even a shadowed-rule finding marks a
     // codegen regression (or a checker false positive worth a repro).

@@ -187,6 +187,22 @@ std::optional<std::pair<topo::NodeId, topo::NodeId>> draw_pair(
     return std::nullopt;
 }
 
+// Gives back the pair (or, for a tcp.dst-refined statement, the port) a
+// statement drawn by draw_statements holds.
+void release_pair(Draw_context& ctx, const ir::PredPtr& predicate) {
+    const core::Addressing::Endpoints ends =
+        ctx.addressing.endpoints(predicate);
+    if (!ends.src || !ends.dst) return;
+    const std::pair pair(*ends.src, *ends.dst);
+    if (ctx.pairs.plain.erase(pair) > 0) return;
+    const auto refined = ctx.pairs.refined.find(pair);
+    if (refined == ctx.pairs.refined.end()) return;
+    for (const ir::Pred* test : ir::conjuncts(*predicate))
+        if (test->kind == ir::Pred_kind::test && test->field == "tcp.dst")
+            refined->second.erase(static_cast<int>(test->value));
+    if (refined->second.empty()) ctx.pairs.refined.erase(refined);
+}
+
 // Draws the statements for one fresh pair: either a single pair-predicate
 // statement, or two tcp.dst-refined ones (disjoint among themselves and
 // against every other pair's statements).
@@ -448,10 +464,21 @@ Scenario random_scenario(const Gen_options& options, std::uint64_t seed) {
     // Long-trace mode: hundreds of add/remove cycles over a small recycled
     // pair pool. Each cycle adds one statement, optionally retunes it, then
     // removes it and releases its pair, so sustained churn exercises tag
-    // recycling and diff minimality rather than policy growth.
+    // recycling and diff minimality rather than policy growth. When the
+    // live statements hold every ordered pair, they are removed first, one
+    // recorded delta at a time, until a pair is free to recycle.
     int lt_counter = 0;
     for (int cycle = 0; cycle < options.long_trace_cycles; ++cycle) {
-        const auto pair = draw_pair(ctx);
+        auto pair = draw_pair(ctx);
+        while (!pair && !model.empty()) {
+            Delta remove;
+            remove.kind = Delta_kind::remove_statement;
+            remove.stmt.stmt.id = model.front().stmt.id;
+            release_pair(ctx, model.front().stmt.predicate);
+            if (!apply_delta(model, t, remove)) break;
+            scenario.deltas.push_back(std::move(remove));
+            pair = draw_pair(ctx);
+        }
         if (!pair) break;
         ctx.pairs.plain.insert(*pair);
         Statement_spec spec;

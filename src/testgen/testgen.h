@@ -266,6 +266,12 @@ private:
 // space of every tracked class. A disagreement in either direction (replay
 // clean but a symbolic error, or symbolically clean while a replay trips)
 // pins a bug in the checker or the simulator respectively.
+//
+// It also holds the checker's proof cache to an empty-cache proof
+// (check_update / check_dataplane) of the same inputs at every step, in
+// severity, check, subject and message, and again on a copy of the tables
+// with one forwarding rule removed from the path of a class the step
+// reused: that copy must get the same, non-empty errors.
 class Symbolic_oracle {
 public:
     // `check_transition` as in Diff_oracle: false after a link-state delta.
@@ -275,6 +281,8 @@ public:
 
 private:
     analysis::Update_checker checker_;
+    core::Compilation previous_;
+    bool seeded_ = false;
 };
 
 // -------------------------------------------------------------------- runner

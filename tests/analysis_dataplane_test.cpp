@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "codegen/codegen.h"
@@ -400,6 +402,282 @@ TEST(AnalysisDataplane, OneSpaceAcrossGenerationsMatchesFreshSpacesFatTree) {
 TEST(AnalysisDataplane, OneSpaceAcrossGenerationsMatchesFreshSpacesCampus) {
     expect_one_space_matches_fresh(topo::campus(),
                                    {{"z0", "bbra"}, {"z3", "bbrb"}}, 150);
+}
+
+// ----------------------------------------------------------- the proof cache
+
+// g and d share a host pair; d's best-effort tree runs through the dpi
+// middlebox m1, whose Click forward retags it.
+constexpr const char* kCachePolicy = R"(
+[ g : eth.src = 00:00:00:00:00:01 and eth.dst = 00:00:00:00:00:02
+      and tcp.dst = 22 -> .* ;
+  d : eth.src = 00:00:00:00:00:01 and eth.dst = 00:00:00:00:00:02
+      and tcp.dst = 80 -> .* dpi .* ;
+  b : eth.src = 00:00:00:00:00:02 and eth.dst = 00:00:00:00:00:01 -> .* ],
+min(g, 10MB/s)
+)";
+
+// A checker whose cache holds a clean proof of every class: two steps over
+// the same compilation, the second reusing all three.
+struct Seeded {
+    topo::Topology topo = diamond_topology();
+    core::Compilation comp;
+    Update_checker checker;
+
+    Seeded() {
+        comp = core::compile(parse_policy(kCachePolicy), topo, {});
+        EXPECT_TRUE(comp.feasible) << comp.diagnostic;
+        EXPECT_TRUE(checker.step(comp, topo).empty());
+        EXPECT_TRUE(checker.step(comp, topo).empty());
+        EXPECT_EQ(checker.last_counts().classes_reused, 3);
+    }
+
+    // The (node, tag) states class `id`'s cached proof visited.
+    [[nodiscard]] std::vector<std::pair<topo::NodeId, int>> states(
+        const std::string& id) const {
+        for (const auto& reused : checker.reused_classes())
+            if (reused.id == id) return reused.states;
+        ADD_FAILURE() << "class " << id << " is not cached";
+        return {};
+    }
+
+    // Proves `tables` as the next generation with a copy of the seeded
+    // cache, then with none; the cached report must equal the empty-cache
+    // one and carry errors. Returns the copy's counts.
+    Proof_counts expect_cache_matches_fresh(
+        const codegen::Configuration& tables,
+        const topo::Topology& now) const {
+        Update_checker copy = checker;
+        const codegen::Diff diff = codegen::diff(checker.config(), tables);
+        const Report cached = copy.prove(
+            comp, std::make_shared<const codegen::Configuration>(tables),
+            diff, now, true);
+        const Report fresh =
+            check_update(comp, comp, checker.config(), diff, tables, now);
+        EXPECT_TRUE(has_errors(fresh)) << to_text(fresh);
+        EXPECT_EQ(to_text(cached), to_text(fresh));
+        return copy.last_counts();
+    }
+};
+
+// The first rule of `config` at `device` matching tag `tag` exactly.
+codegen::Flow_rule* tag_rule(codegen::Configuration& config,
+                             const std::string& device, int tag) {
+    for (codegen::Flow_rule& r : config.flow_rules)
+        if (r.device == device && r.match_tag == tag) return &r;
+    return nullptr;
+}
+
+// The tagged switch state of g's path (its delivery hop).
+std::pair<std::string, int> tagged_state(const Seeded& fx,
+                                         const std::string& id) {
+    for (const auto& [node, tag] : fx.states(id))
+        if (tag != -1 &&
+            fx.topo.node(node).kind == topo::Node_kind::switch_)
+            return {fx.topo.node(node).name, tag};
+    ADD_FAILURE() << "class " << id << " visits no tagged switch state";
+    return {};
+}
+
+TEST(AnalysisDataplaneCache, RemovedRuleOnAReusedPathIsReproved) {
+    const Seeded fx;
+    codegen::Configuration tables = fx.checker.config();
+    const auto [device, tag] = tagged_state(fx, "g");
+    codegen::Flow_rule* rule = tag_rule(tables, device, tag);
+    ASSERT_NE(rule, nullptr);
+    tables.flow_rules.erase(tables.flow_rules.begin() +
+                            (rule - tables.flow_rules.data()));
+    const Proof_counts counts = fx.expect_cache_matches_fresh(tables, fx.topo);
+    EXPECT_EQ(counts.classes_proved, 1);
+    EXPECT_EQ(counts.classes_reused, 2);
+}
+
+TEST(AnalysisDataplaneCache, OverlappingHigherPriorityIngressRuleIsReproved) {
+    const Seeded fx;
+    codegen::Configuration tables = fx.checker.config();
+    // g's ingress is the one untagged state of its proof.
+    std::string ingress;
+    for (const auto& [node, tag] : fx.states("g"))
+        if (tag == -1) ingress = fx.topo.node(node).name;
+    ASSERT_FALSE(ingress.empty());
+    codegen::Flow_rule drop;
+    drop.device = ingress;
+    drop.priority = codegen::kClassifyPriority + 1;
+    // Part of g's traffic, and none of the other classes': g's classifier
+    // is not shadowed, so the static checks stay clean.
+    drop.match = parser::parse_predicate(
+        "eth.src = 00:00:00:00:00:01 and tcp.dst = 22 and ip.src = 10.0.0.9");
+    drop.drop = true;
+    tables.flow_rules.push_back(drop);
+    const Proof_counts counts = fx.expect_cache_matches_fresh(tables, fx.topo);
+    EXPECT_EQ(counts.classes_proved, 1);
+}
+
+TEST(AnalysisDataplaneCache, RetaggedRuleAtAVisitedSwitchIsReproved) {
+    const Seeded fx;
+    codegen::Configuration tables = fx.checker.config();
+    const auto [device, tag] = tagged_state(fx, "g");
+    codegen::Flow_rule* rule = tag_rule(tables, device, tag);
+    ASSERT_NE(rule, nullptr);
+    rule->match_tag = 4000;
+    const Proof_counts counts = fx.expect_cache_matches_fresh(tables, fx.topo);
+    EXPECT_EQ(counts.classes_proved, 1);
+}
+
+TEST(AnalysisDataplaneCache, ChangedClickForwardAtAVisitedMiddleboxIsReproved) {
+    const Seeded fx;
+    const topo::NodeId m1 = fx.topo.require("m1");
+    int carried = -2;
+    for (const auto& [node, tag] : fx.states("d"))
+        if (node == m1) carried = tag;
+    ASSERT_NE(carried, -2) << "d's proof does not visit m1";
+    codegen::Configuration tables = fx.checker.config();
+    const std::string classifier =
+        "VLANClassifier(" + std::to_string(carried) + ")";
+    bool changed = false;
+    for (codegen::Click_config& c : tables.click_configs) {
+        if (c.device != "m1" || c.config.find(classifier) == std::string::npos)
+            continue;
+        const auto anno = c.config.find("SetVLANAnno(");
+        ASSERT_NE(anno, std::string::npos);
+        c.config.replace(anno, c.config.find(')', anno) - anno,
+                         "SetVLANAnno(4001");
+        changed = true;
+    }
+    ASSERT_TRUE(changed);
+    const Proof_counts counts = fx.expect_cache_matches_fresh(tables, fx.topo);
+    EXPECT_EQ(counts.classes_proved, 1);
+}
+
+TEST(AnalysisDataplaneCache, LinkFailureBetweenStepsDropsTheCache) {
+    const Seeded fx;
+    topo::Topology failed = fx.topo;
+    const auto link =
+        failed.link_between(failed.require("s1"), failed.require("s2"));
+    ASSERT_TRUE(link.has_value());
+    failed.set_link_state(*link, false);
+    const Proof_counts counts =
+        fx.expect_cache_matches_fresh(fx.checker.config(), failed);
+    EXPECT_EQ(counts.full_proofs, 1);
+    EXPECT_EQ(counts.full_link, 1);
+    EXPECT_EQ(counts.classes_reused, 0);
+    EXPECT_EQ(counts.devices_reused, 0);
+}
+
+// The gate's counts on fat-tree k=4: the first generation and a link
+// failure are full proofs, a tenant add proves only the new class, and a
+// bandwidth retune re-checks no device and reuses every class.
+TEST(AnalysisDataplaneCache, CountsSayWhatEachStepReused) {
+    const topo::Topology t = topo::fat_tree(4);
+    test_support::Mixed_deltas stream(t, {{"c0", "a0_0"}});
+    Update_checker checker;
+    const auto step = [&](bool check_transition) {
+        const Report report = checker.step(stream.engine().current(),
+                                           stream.engine().topology(),
+                                           check_transition);
+        EXPECT_TRUE(report.empty()) << to_text(report);
+        return checker.last_counts();
+    };
+
+    const Proof_counts first = step(true);
+    EXPECT_EQ(first.full_proofs, 1);
+    EXPECT_EQ(first.full_first, 1);
+    EXPECT_EQ(first.classes_reused, 0);
+    EXPECT_EQ(first.devices_reused, 0);
+    EXPECT_GT(first.devices_checked, 0);
+    const long long classes = first.classes_proved;
+    EXPECT_GT(classes, 0);
+
+    ASSERT_FALSE(stream.next());  // a tenant add
+    const Proof_counts add = step(true);
+    EXPECT_EQ(add.full_proofs, 0);
+    EXPECT_EQ(add.classes_proved, 1);
+    EXPECT_EQ(add.classes_reused, classes);
+    EXPECT_GT(add.devices_reused, 0);
+
+    ASSERT_FALSE(stream.next());  // a bandwidth retune
+    const Proof_counts retune = step(true);
+    EXPECT_EQ(retune.full_proofs, 0);
+    EXPECT_EQ(retune.devices_checked, 0);
+    EXPECT_EQ(retune.classes_proved, 0);
+    EXPECT_EQ(retune.classes_reused, classes + 1);
+    EXPECT_EQ(retune.phase_replays, 0);
+
+    ASSERT_TRUE(stream.next());  // a link failure
+    const Proof_counts fail = step(false);
+    EXPECT_EQ(fail.full_proofs, 1);
+    EXPECT_EQ(fail.full_link, 1);
+    EXPECT_EQ(fail.classes_reused, 0);
+    EXPECT_EQ(fail.devices_reused, 0);
+
+    EXPECT_EQ(checker.total_counts().full_proofs, 2);
+    EXPECT_EQ(checker.total_counts().classes_reused,
+              2 * classes + 1);
+}
+
+// ------------------------------------------------------------- overlays
+
+void expect_same_table(const Phase_table& got, const Phase_table& want,
+                       const std::string& what) {
+    EXPECT_EQ(got.clicks, want.clicks) << what;
+    ASSERT_EQ(got.rules.size(), want.rules.size()) << what;
+    for (const auto& [device, rules] : want.rules) {
+        const auto it = got.rules.find(device);
+        ASSERT_NE(it, got.rules.end()) << what << ": " << device;
+        ASSERT_EQ(it->second.size(), rules.size()) << what << ": " << device;
+        for (std::size_t i = 0; i < rules.size(); ++i)
+            EXPECT_TRUE(codegen::equal(it->second[i], rules[i]))
+                << what << ": " << device << " rule " << i << ": "
+                << codegen::to_text(it->second[i]) << " vs "
+                << codegen::to_text(rules[i]);
+    }
+}
+
+// The overlay phase tables equal the lifted apply_prepare / apply_commit
+// configurations device by device, over a mixed-delta stream.
+void expect_overlays_match_apply(
+    const topo::Topology& topo,
+    std::vector<std::pair<std::string, std::string>> links, int deltas) {
+    test_support::Mixed_deltas stream(topo, std::move(links));
+    codegen::Incremental incremental;
+    int with_commit = 0;
+    for (int step = 0; step <= deltas; ++step) {
+        if (step > 0) (void)stream.next();
+        const topo::Topology& now = stream.engine().topology();
+        const codegen::Configuration old_config = incremental.config();
+        const codegen::Diff diff =
+            incremental.update(stream.engine().current(), now);
+        const auto tables =
+            phase_tables(old_config, diff, incremental.config(), now);
+
+        codegen::Configuration prepared = old_config;
+        codegen::apply_prepare(prepared, diff);
+        codegen::Configuration committed = prepared;
+        codegen::apply_commit(committed, diff);
+        const auto lift = [&](const codegen::Configuration& config) {
+            return phase_tables(config, codegen::Diff{}, config, now)[0];
+        };
+        const std::string at = "step " + std::to_string(step);
+        expect_same_table(tables[0], lift(old_config), at + " pre-update");
+        expect_same_table(tables[1], lift(prepared), at + " after prepare");
+        expect_same_table(tables[2], lift(committed), at + " after commit");
+        expect_same_table(tables[3], lift(incremental.config()),
+                          at + " post-update");
+        if (!diff.classifier_installs.empty() &&
+            !diff.classifier_removes.empty())
+            ++with_commit;
+    }
+    EXPECT_GT(with_commit, deltas / 6);
+}
+
+TEST(AnalysisDataplane, OverlayPhaseTablesMatchAppliedConfigurationsFatTree) {
+    expect_overlays_match_apply(topo::fat_tree(4),
+                                {{"c0", "a0_0"}, {"c2", "a1_1"}}, 120);
+}
+
+TEST(AnalysisDataplane, OverlayPhaseTablesMatchAppliedConfigurationsCampus) {
+    expect_overlays_match_apply(topo::campus(),
+                                {{"z0", "bbra"}, {"z3", "bbrb"}}, 60);
 }
 
 }  // namespace

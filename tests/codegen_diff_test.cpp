@@ -4,8 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/addressing.h"
@@ -511,6 +516,151 @@ TEST(Diff, OneSpaceAcrossGenerationsAndCopiesEvolveAlike) {
     EXPECT_EQ(copy->analyzer().vacuum_count(), space.vacuum_count());
     EXPECT_EQ(keyed_text(copy->config(), copy->naming()),
               keyed_text(incremental.config(), incremental.naming()));
+}
+
+// The text-keyed flow-rule pairing diff() replaced, kept as its
+// reference: identical rules cancel through an ordered map on the full
+// rendered key, and the leftovers pair through an ordered map on the
+// rendered identity key. Every other part of the diff is diff()'s own.
+Diff reference_diff(const Configuration& old_config,
+                    const Configuration& new_config) {
+    Diff out = diff(old_config, new_config);
+    for (auto* rules : {&out.tag_installs, &out.classifier_installs,
+                        &out.classifier_removes, &out.tag_removes})
+        rules->clear();
+    out.tag_updates.clear();
+    out.classifier_updates.clear();
+
+    std::map<const ir::Pred*, std::string> texts;
+    const auto text = [&](const ir::PredPtr& p) -> std::string_view {
+        if (!p) return {};
+        const auto [it, inserted] = texts.try_emplace(p.get());
+        if (inserted) it->second = ir::to_string(p);
+        return it->second;
+    };
+    const auto full_key = [&](const Flow_rule& r) {
+        return std::tuple(std::string_view(r.device), r.priority,
+                          r.match_tag.has_value(), r.match_tag.value_or(0),
+                          text(r.match), r.match_dst_mac.has_value(),
+                          r.match_dst_mac.value_or(0), r.drop,
+                          r.set_tag.has_value(), r.set_tag.value_or(0),
+                          r.strip_tag, std::string_view(r.out_port),
+                          r.queue.has_value(), r.queue.value_or(0));
+    };
+    const auto identity_key = [&](const Flow_rule& r) {
+        return std::tuple(r.match_tag.has_value(), std::string_view(r.device),
+                          r.priority, r.match_tag.value_or(0), text(r.match),
+                          r.match_dst_mac.has_value(),
+                          r.match_dst_mac.value_or(0));
+    };
+    std::map<decltype(full_key(Flow_rule{})), std::vector<const Flow_rule*>>
+        pool;
+    for (const Flow_rule& r : old_config.flow_rules)
+        pool[full_key(r)].push_back(&r);
+    std::vector<const Flow_rule*> old_left, new_left;
+    for (const Flow_rule& r : new_config.flow_rules) {
+        auto it = pool.find(full_key(r));
+        if (it != pool.end() && !it->second.empty())
+            it->second.pop_back();
+        else
+            new_left.push_back(&r);
+    }
+    for (const auto& [k, left] : pool)
+        old_left.insert(old_left.end(), left.begin(), left.end());
+
+    std::map<decltype(identity_key(Flow_rule{})),
+             std::pair<std::vector<const Flow_rule*>,
+                       std::vector<const Flow_rule*>>>
+        by_identity;
+    for (const Flow_rule* r : old_left)
+        by_identity[identity_key(*r)].first.push_back(r);
+    for (const Flow_rule* r : new_left)
+        by_identity[identity_key(*r)].second.push_back(r);
+    for (const auto& [key, sides] : by_identity) {
+        const auto& [olds, news] = sides;
+        const bool tagged = std::get<0>(key);
+        const std::size_t paired = std::min(olds.size(), news.size());
+        for (std::size_t i = 0; i < paired; ++i)
+            (tagged ? out.tag_updates : out.classifier_updates)
+                .push_back(Rule_update{*olds[i], *news[i]});
+        for (std::size_t i = paired; i < news.size(); ++i)
+            (tagged ? out.tag_installs : out.classifier_installs)
+                .push_back(*news[i]);
+        for (std::size_t i = paired; i < olds.size(); ++i)
+            (tagged ? out.tag_removes : out.classifier_removes)
+                .push_back(*olds[i]);
+    }
+    return out;
+}
+
+// The same predicate tree in fresh nodes.
+ir::PredPtr clone(const ir::PredPtr& p) {
+    if (!p) return p;
+    return std::make_shared<const ir::Pred>(ir::Pred{
+        p->kind, p->field, p->value, p->needle, clone(p->lhs), clone(p->rhs)});
+}
+
+TEST(Diff, HashKeyedDiffMatchesTheTextKeyedReference) {
+    // Mixed deltas on two topologies, each pair of consecutive
+    // configurations diffed as emitted and as variants that repeat
+    // identical rules on both sides in different multiplicities, hold
+    // structurally equal predicates in different nodes, and add rules that
+    // share an identity with a different action: to_text must match the
+    // reference byte for byte.
+    struct Stream {
+        topo::Topology topo;
+        std::vector<std::pair<std::string, std::string>> links;
+        int deltas;
+    };
+    const Stream streams[] = {
+        {topo::fat_tree(4), {{"c0", "a0_0"}, {"c2", "a1_1"}}, 24},
+        {topo::campus(), {{"z0", "bbra"}, {"z3", "bbrb"}}, 8}};
+    long long repeated = 0;
+    for (const Stream& stream_spec : streams) {
+        test_support::Mixed_deltas stream(stream_spec.topo, stream_spec.links);
+        Incremental incremental;
+        Configuration previous;
+        for (int step = 0; step <= stream_spec.deltas; ++step) {
+            if (step > 0) (void)stream.next();
+            (void)incremental.update(stream.engine().current(),
+                                     stream.engine().topology());
+            const Configuration& next = incremental.config();
+            EXPECT_EQ(to_text(diff(previous, next)),
+                      to_text(reference_diff(previous, next)))
+                << "step " << step;
+
+            Configuration old_variant = previous;
+            for (std::size_t i = 0; i < previous.flow_rules.size(); i += 7)
+                old_variant.flow_rules.push_back(previous.flow_rules[i]);
+            Configuration new_variant = next;
+            for (std::size_t i = 0; i < next.flow_rules.size(); ++i) {
+                Flow_rule& r = new_variant.flow_rules[i];
+                if (i % 3 == 0) r.match = clone(r.match);
+                if (i % 5 == 0) new_variant.flow_rules.push_back(r);
+                if (i % 14 == 0) {
+                    Flow_rule copy = next.flow_rules[i];
+                    copy.match = clone(copy.match);
+                    new_variant.flow_rules.push_back(copy);
+                    new_variant.flow_rules.push_back(copy);
+                }
+                if (i % 13 == 0) {
+                    Flow_rule moved = next.flow_rules[i];
+                    moved.out_port += "-moved";
+                    new_variant.flow_rules.push_back(moved);
+                }
+            }
+            for (const auto& [a, b] :
+                 {std::pair(&old_variant, &new_variant),
+                  std::pair(&new_variant, &old_variant)}) {
+                const Diff d = diff(*a, *b);
+                EXPECT_EQ(to_text(d), to_text(reference_diff(*a, *b)))
+                    << "step " << step;
+                repeated += static_cast<long long>(d.rules_touched());
+            }
+            previous = next;
+        }
+    }
+    EXPECT_GT(repeated, 0);
 }
 
 TEST(Naming, LongChurnKeepsTagHighWaterBounded) {

@@ -167,6 +167,20 @@ TEST(Daemon, AcceptedDeltaPublishesExactlyOneGeneration) {
     EXPECT_EQ(h.ctl().stats().accepted, 1);
 }
 
+// The stats line appends the verify gate's counts: the initial generation
+// was its one full proof, and the accepted retune reused its cache.
+TEST(Daemon, StatsLineReportsWhatTheVerifyGateReused) {
+    Harness h;
+    ASSERT_TRUE(h.ctl().apply(bandwidth_command("g", mbps(120))).ok);
+    const Response r = h.ctl().apply_line("stats");
+    ASSERT_TRUE(r.ok);
+    EXPECT_NE(r.detail.find(" classes_reused="), std::string::npos)
+        << r.detail;
+    EXPECT_NE(r.detail.find(" full_proofs=1 full_first=1 full_link=0"),
+              std::string::npos)
+        << r.detail;
+}
+
 TEST(Daemon, InfeasibleDeltaRollsBackAndServesLastGood) {
     Harness h;
     const auto before = h.ctl().snapshot();

@@ -72,6 +72,28 @@ TEST(Generator, TopologiesValidateAcrossFamilies) {
 
 // -------------------------------------------------------------- serialization
 
+// The long-trace legs (the merlin_fuzz_long_trace CTest and verify.sh)
+// draw seed 3's fat-tree:2 scenario, whose base statements hold both
+// ordered host pairs: the generator removes one first, so every cycle has
+// a pair to recycle and runs an add and a remove.
+TEST(Generator, LongTraceRecyclesAPairWhenTheBaseHoldsThemAll) {
+    Gen_options options;
+    options.max_deltas = 0;
+    options.long_trace_cycles = 40;
+    const Scenario scenario = testgen::random_scenario(options, 3);
+    EXPECT_EQ(scenario.topo_spec, "fat-tree:2");
+    EXPECT_GE(scenario.deltas.size(), 2 * 40U);
+    int adds = 0;
+    int removes = 0;
+    for (const testgen::Delta& delta : scenario.deltas) {
+        if (delta.stmt.stmt.id.rfind("lt", 0) != 0) continue;
+        adds += delta.kind == Delta_kind::add_statement ? 1 : 0;
+        removes += delta.kind == Delta_kind::remove_statement ? 1 : 0;
+    }
+    EXPECT_EQ(adds, 40);
+    EXPECT_EQ(removes, 40);
+}
+
 TEST(Repro, RoundTripsExactly) {
     const Gen_options options;
     for (std::uint64_t seed = 0; seed < 24; ++seed) {

@@ -472,6 +472,12 @@ int main(int argc, char** argv) {
             }
         }
         if (verify) {
+            // What the gate proved afresh and what it reused, over every
+            // generation it checked.
+            if (print_stats)
+                std::cout << "verify stats: "
+                          << analysis::to_text(verifier.total_counts())
+                          << '\n';
             std::cout << "verify: " << verify_errors << " errors\n";
             if (verify_errors > 0) return 1;
         }
