@@ -133,9 +133,9 @@ struct Compilation {
 };
 
 // One-shot compilation: a thin wrapper over core::Engine (see engine.h),
-// which owns the front-end caches, the encoded provisioning MIP, and the
-// warm-start state. Long-lived callers should construct an Engine and apply
-// delta operations instead of re-compiling.
+// which owns the front-end caches and the encoded provisioning MIP.
+// Long-lived callers should construct an Engine and apply delta operations
+// instead of re-compiling.
 [[nodiscard]] Compilation compile(const ir::Policy& policy,
                                   const topo::Topology& topo,
                                   const Compile_options& options = {});

@@ -23,30 +23,6 @@ double ms_since(Clock::time_point start) {
         .count();
 }
 
-// Thread pool shared by the parallel front-end loops, constructed lazily on
-// the first fan-out with more than one item: trivial policies (and delta
-// operations, which touch one item) never pay thread spawn/join.
-class Lazy_pool {
-public:
-    explicit Lazy_pool(int jobs) : jobs_(jobs) {}
-
-    [[nodiscard]] int size() const { return jobs_; }
-
-    template <typename Fn>
-    void parallel_for(int n, Fn&& fn) {
-        if (jobs_ == 1 || n <= 1) {
-            for (int i = 0; i < n; ++i) fn(i);
-            return;
-        }
-        if (!pool_) pool_.emplace(jobs_);
-        pool_->parallel_for(n, std::forward<Fn>(fn));
-    }
-
-private:
-    int jobs_;
-    std::optional<util::Thread_pool> pool_;
-};
-
 // Memoized automata construction shared by the guaranteed and best-effort
 // worlds: one Thompson -> epsilon-free -> determinize -> minimize chain per
 // distinct path expression, fanned out over the pool. Exceptions are
@@ -57,12 +33,14 @@ struct Nfa_set {
     std::vector<std::exception_ptr> errors;
 };
 
+template <typename Parallel_for>
 Nfa_set build_nfa_set(const std::vector<const ir::PathPtr*>& paths,
-                      const automata::Alphabet& alphabet, Lazy_pool& pool) {
+                      const automata::Alphabet& alphabet,
+                      Parallel_for&& parallel_for) {
     Nfa_set out;
     out.nfas.resize(paths.size());
     out.errors.resize(paths.size());
-    pool.parallel_for(static_cast<int>(paths.size()), [&](int u) {
+    parallel_for(static_cast<int>(paths.size()), [&](int u) {
         const auto i = static_cast<std::size_t>(u);
         try {
             automata::Nfa nfa =
@@ -82,6 +60,16 @@ Nfa_set build_nfa_set(const std::vector<const ir::PathPtr*>& paths,
 
 }  // namespace
 
+template <typename Fn>
+void Engine::parallel_for(int n, Fn&& fn) {
+    if (jobs_ == 1 || n <= 1) {
+        for (int i = 0; i < n; ++i) fn(i);
+        return;
+    }
+    if (!pool_) pool_ = std::make_unique<util::Thread_pool>(jobs_);
+    pool_->parallel_for(n, std::forward<Fn>(fn));
+}
+
 // ---------------------------------------------------------------------------
 // Checkpoint / restore
 
@@ -89,7 +77,6 @@ struct Engine_checkpoint_state {
     std::vector<Engine::Entry> entries;
     std::vector<Guaranteed_request> requests;
     std::vector<std::size_t> request_entry;
-    lp::Basis basis;
     Provision_result provision;
     std::vector<bool> link_up;
     Compilation current;
@@ -102,7 +89,6 @@ Engine::Checkpoint Engine::checkpoint() const {
     state->entries = entries_;
     state->requests = requests_;
     state->request_entry = request_entry_;
-    state->basis = basis_;
     state->provision = provision_;
     state->link_up.reserve(static_cast<std::size_t>(topo_.link_count()));
     for (topo::LinkId l = 0; l < topo_.link_count(); ++l)
@@ -121,11 +107,9 @@ void Engine::restore(const Checkpoint& saved) {
     entries_ = state.entries;
     requests_ = state.requests;
     request_entry_ = state.request_entry;
-    basis_ = state.basis;
     provision_ = state.provision;
     // The skeleton may have been patched or re-encoded for the abandoned
-    // state; dropping it is always safe (lazy re-encode on the next solve,
-    // which the restored basis_ still warm-starts).
+    // state; dropping it is always safe (lazy re-encode on the next solve).
     skeleton_valid_ = false;
     bool links_differ = false;
     for (topo::LinkId l = 0; l < topo_.link_count(); ++l) {
@@ -295,7 +279,6 @@ void Engine::note_disjoint_work(const pred::Overlaps& found) {
 // Guaranteed world
 
 void Engine::ensure_guaranteed_nfas() {
-    Lazy_pool pool(jobs_);
     std::vector<const std::string*> miss_texts;
     std::vector<const ir::PathPtr*> miss_paths;
     std::unordered_map<std::string, std::size_t> queued;
@@ -312,7 +295,9 @@ void Engine::ensure_guaranteed_nfas() {
         miss_paths.push_back(&e.stmt.path);
     }
     if (miss_paths.empty()) return;
-    Nfa_set built = build_nfa_set(miss_paths, full_alphabet_, pool);
+    Nfa_set built = build_nfa_set(
+        miss_paths, full_alphabet_,
+        [this](int n, auto&& fn) { parallel_for(n, fn); });
     // Deterministic error propagation: rethrow for the first guaranteed
     // statement (in policy order) whose expression failed, as the batch
     // compiler did. Successful builds are interned first so a later retry
@@ -346,8 +331,7 @@ void Engine::rebuild_requests() {
     for (std::size_t i = 0; i < entries_.size(); ++i)
         if (entries_[i].guaranteed()) request_entry_.push_back(i);
     requests_.assign(request_entry_.size(), {});
-    Lazy_pool pool(jobs_);
-    pool.parallel_for(static_cast<int>(request_entry_.size()), [&](int r) {
+    parallel_for(static_cast<int>(request_entry_.size()), [&](int r) {
         const Entry& entry = entries_[request_entry_[
             static_cast<std::size_t>(r)]];
         Guaranteed_request& request = requests_[static_cast<std::size_t>(r)];
@@ -358,7 +342,6 @@ void Engine::rebuild_requests() {
     });
     totals_.logical_builds += static_cast<long long>(requests_.size());
     skeleton_valid_ = false;
-    basis_ = {};
 }
 
 bool Engine::mip_selected() const {
@@ -377,12 +360,9 @@ bool Engine::solve_provisioning() {
     if (mip_selected() && options_.solver_mode != Solver_mode::full) {
         // Column generation / sharding re-derive their columns from the
         // current requests on every solve and carry an optimality
-        // certificate (with a full-encoding fallback), so they keep no
-        // cross-delta solver state: engine-after-deltas stays bit-equal to
-        // a batch compile by construction. The skeleton/basis fast paths
-        // stay dormant (skeleton_valid_ false) under these modes.
+        // certificate (with a full-encoding fallback). The skeleton fast
+        // paths stay dormant (skeleton_valid_ false) under these modes.
         skeleton_valid_ = false;
-        basis_ = {};
         provision_ =
             options_.solver_mode == Solver_mode::colgen
                 ? provision_colgen(topo_, requests_, options_.heuristic,
@@ -390,23 +370,15 @@ bool Engine::solve_provisioning() {
                 : provision_sharded(topo_, requests_, options_.heuristic,
                                     options_.mip, options_.jobs);
     } else if (mip_selected()) {
-        // A re-encode keeps basis_: every change of the encoding's shape
-        // clears it at the change, so what survives here (e.g. the basis
-        // restored with a checkpoint) matches requests_, and solve_encoding
-        // falls back to the shortest-path crash when it is empty.
         if (!skeleton_valid_) {
             skeleton_ =
                 encode_provisioning(topo_, requests_, options_.heuristic);
             skeleton_valid_ = true;
             ++totals_.lp_encodings;
         }
-        lp::Basis next;
-        provision_ = solve_encoding(topo_, requests_, skeleton_, options_.mip,
-                                    &basis_, &next);
-        warm_used = std::string_view(provision_.root_start) == "previous";
-        // Keep the previous basis on a failed solve: it may still seed the
-        // re-solve after the next patch.
-        if (!next.empty()) basis_ = std::move(next);
+        provision_ =
+            solve_encoding(topo_, requests_, skeleton_, options_.mip);
+        warm_used = std::string_view(provision_.root_start) == "crash";
     }
     // Greedy runs when selected, when auto-selected past the MIP size
     // limit, or as the fallback for a truncated (unproven) MIP failure.
@@ -464,12 +436,16 @@ void Engine::publish() {
     if (!requests_.empty()) {
         out.provision = provision_;
         if (!provision_.feasible) {
-            out.diagnostic =
-                provision_.proven_infeasible
-                    ? "bandwidth guarantees are not satisfiable on this "
-                      "topology"
-                    : "provisioning failed (guarantees may be too tight for "
-                      "the selected solver)";
+            if (!provision_.proven_infeasible)
+                out.diagnostic =
+                    "provisioning failed (guarantees may be too tight for "
+                    "the selected solver)";
+            else if (!provision_.diagnostic.empty())
+                out.diagnostic = provision_.diagnostic;  // names its cause
+            else
+                out.diagnostic =
+                    "bandwidth guarantees are not satisfiable on this "
+                    "topology";
             current_ = std::move(out);
             return;
         }
@@ -507,7 +483,6 @@ void Engine::publish() {
 
     // Pass 2: intern missing class NFAs (and their emptiness) in parallel.
     {
-        Lazy_pool pool(jobs_);
         std::vector<std::size_t> missing;  // class ids to build
         for (std::size_t c = 0; c < class_rep.size(); ++c) {
             if (switch_nfas_.contains(text_of(class_rep[c])))
@@ -520,10 +495,11 @@ void Engine::publish() {
             paths.reserve(missing.size());
             for (std::size_t c : missing)
                 paths.push_back(&path_of(class_rep[c]));
-            Nfa_set built =
-                build_nfa_set(paths, switch_graph_.alphabet, pool);
+            Nfa_set built = build_nfa_set(
+                paths, switch_graph_.alphabet,
+                [this](int n, auto&& fn) { parallel_for(n, fn); });
             std::vector<Switch_nfa> interned(missing.size());
-            pool.parallel_for(
+            parallel_for(
                 static_cast<int>(missing.size()), [&](int u) {
                     const auto i = static_cast<std::size_t>(u);
                     if (built.errors[i]) return;
@@ -612,7 +588,6 @@ void Engine::publish() {
     // into slots ordered by the (sorted) key set, then everything is
     // published in that same order.
     {
-        Lazy_pool pool(jobs_);
         std::vector<std::pair<int, int>> miss_keys;
         for (const auto& [cls, egress] : needed) {
             const auto key = std::pair(
@@ -623,7 +598,7 @@ void Engine::publish() {
                 miss_keys.emplace_back(cls, egress);
         }
         std::vector<Sink_tree> built(miss_keys.size());
-        pool.parallel_for(static_cast<int>(miss_keys.size()), [&](int i) {
+        parallel_for(static_cast<int>(miss_keys.size()), [&](int i) {
             const auto [cls, egress] = miss_keys[static_cast<std::size_t>(i)];
             built[static_cast<std::size_t>(i)] = build_sink_tree(
                 switch_graph_,
@@ -784,7 +759,6 @@ Update_result Engine::add_statement(const ir::Statement& statement,
         requests_.push_back(make_request(entries_.back()));
         request_entry_.push_back(entries_.size() - 1);
         skeleton_valid_ = false;
-        basis_ = {};
         solver_run = true;
         solve_provisioning();
     } else {
@@ -814,7 +788,6 @@ Update_result Engine::remove_statement(const std::string& id) {
         if (e > index) --e;
     if (was_guaranteed) {
         skeleton_valid_ = false;
-        basis_ = {};
         solver_run = !requests_.empty();
         solve_provisioning();
     }
@@ -854,11 +827,11 @@ Update_result Engine::set_bandwidth(const std::string& id,
     const bool was_feasible = current_.feasible;
     if (old.bps() > 0 && guarantee.bps() > 0) {
         // The paper's fast path ("changes to bandwidth allocations do not
-        // require recompilation"): patch the live encoding, warm-start
-        // branch & bound. No automata, logical-topology, sink-tree or
-        // re-encoding work — and no Delta_guard state capture either; the
-        // three mutated scalars roll back by hand and the patched skeleton
-        // is dropped, preserving the strong guarantee at fast-path cost.
+        // require recompilation"): patch the live encoding and re-solve it.
+        // No automata, logical-topology, sink-tree or re-encoding work —
+        // and no Delta_guard state capture either; the three mutated
+        // scalars roll back by hand and the patched skeleton is dropped,
+        // preserving the strong guarantee at fast-path cost.
         const std::size_t r = request_of_entry(index);
         Provision_result saved_provision = provision_;
         try {
@@ -866,7 +839,7 @@ Update_result Engine::set_bandwidth(const std::string& id,
             entry.guarantee = guarantee;
             requests_[r].rate = guarantee;
             if (mip_selected() && skeleton_valid_) {
-                patch_request_rate(skeleton_, requests_, r);
+                patch_request_rate(skeleton_, topo_, requests_, r);
                 ++totals_.lp_patches;
             }
             warm = solve_provisioning();
@@ -897,7 +870,6 @@ Update_result Engine::set_bandwidth(const std::string& id,
         request_entry_.insert(
             request_entry_.begin() + static_cast<std::ptrdiff_t>(r), index);
         skeleton_valid_ = false;
-        basis_ = {};
         solve_provisioning();
         publish();
         guard.commit();
@@ -911,7 +883,6 @@ Update_result Engine::set_bandwidth(const std::string& id,
         request_entry_.erase(request_entry_.begin() +
                              static_cast<std::ptrdiff_t>(r));
         skeleton_valid_ = false;
-        basis_ = {};
         solver_run = !requests_.empty();
         solve_provisioning();
         publish();
@@ -935,23 +906,11 @@ Update_result Engine::set_link_state(topo::LinkId link, bool up,
     bool warm = false;
     if (!requests_.empty()) {
         solver_run = true;
-        if (mip_selected() && skeleton_valid_) {
-            // The encoding's shape is link-state independent: flipping a
-            // link is a pure bound patch, so the previous basis stays a
-            // valid warm start.
-            for (std::size_t r = 0; r < requests_.size(); ++r) {
-                const auto& logical = requests_[r].logical;
-                for (int e = 0; e < logical.graph.edge_count(); ++e) {
-                    if (logical.edges[static_cast<std::size_t>(e)].link !=
-                        link)
-                        continue;
-                    skeleton_.problem.set_bounds(
-                        skeleton_.edge_vars[r][static_cast<std::size_t>(e)],
-                        0.0, up ? 1.0 : 0.0);
-                    ++totals_.lp_patches;
-                }
-            }
-        }
+        // The encoding's shape is link-state independent: flipping a link
+        // is a pure bound patch.
+        if (mip_selected() && skeleton_valid_)
+            totals_.lp_patches +=
+                patch_link_state(skeleton_, topo_, requests_, link);
         warm = solve_provisioning();
     }
     // Sink trees route over live links only: the switch graph changed, so

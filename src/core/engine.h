@@ -11,43 +11,32 @@
 //   * built sink trees keyed by (path text, egress switch),
 //   * the encoded provisioning MIP (the "LP skeleton") with the index maps
 //     needed to patch it in place,
-//   * the last optimal branch & bound basis.
+//   * one thread pool for the parallel front-end loops, created at the
+//     first fan-out that needs it.
 //
 // Delta operations patch only what a change touches:
 //
 //   * set_bandwidth on a statement that stays guaranteed patches the
 //     constraint-(2) coefficients and objective costs of the live encoding
-//     and warm-starts branch & bound from the previous basis — no automata
-//     work, no logical topologies, no re-encoding, no sink-tree work
-//     (the paper's "changes to bandwidth allocations do not require
-//     recompilation", Section 4.3); cap-only changes run no solver at all;
+//     and re-solves it — no automata work, no logical topologies, no
+//     re-encoding, no sink-tree work (the paper's "changes to bandwidth
+//     allocations do not require recompilation", Section 4.3); cap-only
+//     changes run no solver at all;
 //   * fail_link / restore_link flip the bounds of the binaries crossing
 //     that link (the encoding's shape is link-state independent) and
-//     rebuild only the sink trees, again warm-starting the solver;
+//     rebuild only the sink trees;
 //   * add_statement / remove_statement and guarantee promotions/demotions
 //     change the encoding's shape, so they fall back to re-encoding the
 //     skeleton — but still reuse every cached automaton and sink tree.
 //
-// After every delta the published Compilation is identical to what a
-// from-scratch compile() of the current policy and topology would produce
-// (solver work counters aside) — the equivalence the engine_test suite
-// pins down. One known boundary: a warm-started re-solve may publish
-// another optimal path set than a cold compile, for two reasons.
-//   * Exact ties, found by merlin-fuzz: the objective jitters are integer
-//     multiples of one quantum (1e-6), so symmetric detours can have
-//     equal jitter sums.
-//   * Near-ties inside the solver's tolerances. The simplex stops once
-//     every reduced cost is within lp optimality_tol (1e-7), and the
-//     capacity-scaled rows (3)/(4) turn that into up to ~1e-5 of
-//     objective; branch & bound prunes at gap_tol·(1+|obj|). Both exceed
-//     the quantum, so on capacity-binding instances the optimum reached
-//     depends on the starting basis by a few quanta (a campus()
-//     min-max-ratio instance closed at 671.046363 from the crash basis and
-//     at 671.046377 from two-phase).
-// Either way the diverging paths carry the same rates, word and link
-// lengths, endpoints and functions, while r_max and R_max may differ. The
-// testgen oracle accepts exactly this proven-tie divergence and nothing
-// else.
+// The engine keeps no solver state across deltas: every full-encoding
+// solve starts from the per-request shortest-path crash basis of the
+// current encoding, and a patched encoding is bit-identical to a fresh
+// one (patch_request_rate's invariant). So after every delta the
+// published Compilation is exactly what a from-scratch compile() of the
+// current policy and topology produces — paths, objective, r_max, R_max
+// and the solver's work counters included — the equivalence the
+// engine_test suite pins down.
 #pragma once
 
 #include <chrono>
@@ -61,9 +50,9 @@
 #include <vector>
 
 #include "core/compiler.h"
-#include "lp/simplex.h"
 #include "pred/analysis.h"
 #include "pred/overlap.h"
+#include "util/thread_pool.h"
 
 namespace merlin::core {
 
@@ -92,7 +81,7 @@ struct Engine_stats {
     long long lp_encodings = 0;        // full MIP skeleton (re)encodes
     long long lp_patches = 0;          // in-place coefficient/cost/bound edits
     long long solves = 0;              // provisioning solver runs
-    long long warm_started_solves = 0; // solves seeded by the previous basis
+    long long warm_started_solves = 0; // root accepted the crash basis
     long long incremental_updates = 0; // delta operations applied
     // Predicate-DAG sharing counters, synced from the engine's analyzer at
     // every publication. predicate_compiles counts *distinct* predicate
@@ -122,7 +111,7 @@ struct Update_result {
     const char* kind = "";     // which delta ran ("set_bandwidth", ...)
     double ms = 0;             // wall-clock of the update
     bool solver_run = false;   // a provisioning solve happened
-    bool warm_started = false; // ... and it reused the previous basis
+    bool warm_started = false; // ... and its root skipped phase 1 (crash)
     Engine_stats work;         // work performed by this update alone
 
     explicit operator bool() const { return feasible; }
@@ -183,7 +172,7 @@ public:
 
     // ---- transactional rollback --------------------------------------------
     // A checkpoint captures every piece of delta-visible state: the policy
-    // entries, the provisioning requests, solver warm-start state, link
+    // entries, the provisioning requests, the last solve outcome, link
     // states, the published Compilation, and generation(). The NFA and
     // sink-tree interns are content-addressed caches shared across states,
     // so they are not captured; restore() only evicts trees built under a
@@ -289,10 +278,14 @@ private:
     [[nodiscard]] Guaranteed_request make_request(const Entry& entry);
 
     // Runs the solver over requests_, honouring Compile_options::solver
-    // selection and the greedy fallback. The root LP starts from basis_
-    // when there is one (structural changes clear it). Returns whether
-    // the root accepted that basis.
+    // selection and the greedy fallback. Returns whether a full-encoding
+    // root accepted the crash basis.
     bool solve_provisioning();
+
+    // Runs fn(i) for i in [0, n): inline when jobs_ == 1 or n <= 1, else on
+    // pool_, which the first such fan-out creates.
+    template <typename Fn>
+    void parallel_for(int n, Fn&& fn);
 
     // Rebuilds current_ from scratch (through the caches), mirroring
     // compile()'s staging and early returns exactly.
@@ -330,7 +323,6 @@ private:
     std::vector<std::size_t> request_entry_;     // request -> entry index
     Mip_encoding skeleton_;
     bool skeleton_valid_ = false;                // matches requests_' shape
-    lp::Basis basis_;                            // last incumbent basis
     Provision_result provision_;                 // last solve outcome
 
     // Interns.
@@ -344,6 +336,7 @@ private:
 
     Publish_hook publish_hook_;
     std::uint64_t generation_ = 1;  // construction is the first publication
+    std::unique_ptr<util::Thread_pool> pool_;
 };
 
 }  // namespace merlin::core

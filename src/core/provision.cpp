@@ -23,6 +23,18 @@ namespace {
 // Rates are expressed in Mbps inside the MIP to keep coefficients O(1)-ish.
 double to_mbps(Bandwidth bw) { return bw.mbps(); }
 
+// The upper bound of a request's binary for `edge` (see
+// encode_provisioning): 0 over a link that is down or narrower than the
+// rate, compared exactly in bps.
+double edge_upper(const topo::Topology& topo, const Logical_edge& edge,
+                  Bandwidth rate) {
+    if (edge.link == topo::kNoLink) return 1.0;
+    return topo.link_up(edge.link) &&
+                   topo.link(edge.link).capacity.bps() >= rate.bps()
+               ? 1.0
+               : 0.0;
+}
+
 }  // namespace
 
 namespace detail {
@@ -107,11 +119,12 @@ std::optional<std::vector<int>> tree_path(
     return edges;
 }
 
-lp::Basis crash_basis(const topo::Topology& topo,
-                      const std::vector<Guaranteed_request>& requests,
-                      const Mip_encoding& encoding) {
+Crash crash_basis(const topo::Topology& topo,
+                  const std::vector<Guaranteed_request>& requests,
+                  const Mip_encoding& encoding) {
     const lp::Problem& lp = encoding.problem.relaxation();
-    lp::Basis basis;
+    Crash out;
+    lp::Basis& basis = out.basis;
     basis.basic.assign(static_cast<std::size_t>(lp.constraint_count()), -1);
     basis.at_upper.assign(static_cast<std::size_t>(lp.basis_width()), 0);
     std::vector<double> load(static_cast<std::size_t>(topo.link_count()), 0.0);
@@ -129,7 +142,11 @@ lp::Basis crash_basis(const topo::Topology& topo,
         const std::vector<graph::Edge> tree =
             shortest_path_tree(logical, costs);
         const std::optional<std::vector<int>> path = tree_path(logical, tree);
-        if (!path.has_value()) return {};
+        if (!path.has_value()) {
+            out.basis = {};
+            out.unroutable = i;
+            return out;
+        }
         for (graph::Vertex v = 0; v < logical.graph.vertex_count(); ++v)
             if (const graph::Edge e = tree[static_cast<std::size_t>(v)];
                 e != graph::kNoEdge)
@@ -143,7 +160,7 @@ lp::Basis crash_basis(const topo::Topology& topo,
                 link != topo::kNoLink)
                 load[static_cast<std::size_t>(link)] += rate;
     }
-    if (topo.link_count() == 0) return basis;
+    if (topo.link_count() == 0) return out;
 
     topo::LinkId worst_ratio = 0;
     topo::LinkId worst_load = 0;
@@ -170,7 +187,7 @@ lp::Basis crash_basis(const topo::Topology& topo,
     basis.basic[static_cast<std::size_t>(
         encoding.link_row[static_cast<std::size_t>(worst_load)] + 2)] =
         encoding.big_r_max_var;
-    return basis;
+    return out;
 }
 
 // Computes the achieved r_max / R_max from the selected reservations.
@@ -206,9 +223,8 @@ namespace {
 //
 //   * the quantum must clear the simplex optimality tolerance (1e-7) by a
 //     healthy margin — if two edge subsets can differ by less than the
-//     tolerance, a warm-started re-solve may legitimately stop on a
-//     different "optimal" vertex than a cold solve, and the engine's
-//     incremental updates would drift from a from-scratch compile;
+//     tolerance, a crash-started solve may legitimately stop on a
+//     different "optimal" vertex than a two-phase solve;
 //   * the total magnitude must stay far below kEpsilonCost — perturbing
 //     the relaxation at the epsilon-cost scale measurably degrades branch
 //     & bound on capacity-tight instances (a 1e-3 max was a 60x slowdown
@@ -283,18 +299,15 @@ Mip_encoding encode_provisioning(const topo::Topology& topo,
                 problem.add_binary(kEpsilonCost + jitter.next()));
     }
 
-    // Links currently down carry no traffic: their edges exist (so the
-    // encoding's shape is independent of link state and bound patches can
-    // flip state in place) but are pinned to zero.
+    // Edges over links that are down or too narrow exist (so bound patches
+    // can flip them in place) but are pinned to zero.
     for (std::size_t i = 0; i < requests.size(); ++i) {
         const auto& logical = requests[i].logical;
-        for (int e = 0; e < logical.graph.edge_count(); ++e) {
-            const topo::LinkId link =
-                logical.edges[static_cast<std::size_t>(e)].link;
-            if (link != topo::kNoLink && !topo.link_up(link))
+        for (int e = 0; e < logical.graph.edge_count(); ++e)
+            if (edge_upper(topo, logical.edges[static_cast<std::size_t>(e)],
+                           requests[i].rate) == 0.0)
                 problem.set_bounds(
                     out.edge_vars[i][static_cast<std::size_t>(e)], 0.0, 0.0);
-        }
     }
 
     // (1) Flow conservation per request vertex.
@@ -379,7 +392,7 @@ Mip_encoding encode_provisioning(const topo::Topology& topo,
     return out;
 }
 
-void patch_request_rate(Mip_encoding& encoding,
+void patch_request_rate(Mip_encoding& encoding, const topo::Topology& topo,
                         const std::vector<Guaranteed_request>& requests,
                         std::size_t r) {
     const Guaranteed_request& request = requests[r];
@@ -388,12 +401,14 @@ void patch_request_rate(Mip_encoding& encoding,
     expects(rate > 0, "rate patches require a positive rate");
     const double weight = std::max(rate, 1.0);
     for (int e = 0; e < logical.graph.edge_count(); ++e) {
-        const topo::LinkId link =
-            logical.edges[static_cast<std::size_t>(e)].link;
-        if (link == topo::kNoLink) continue;
+        const Logical_edge& edge = logical.edges[static_cast<std::size_t>(e)];
+        if (edge.link == topo::kNoLink) continue;
         const int var = encoding.edge_vars[r][static_cast<std::size_t>(e)];
+        encoding.problem.set_bounds(var, 0.0,
+                                    edge_upper(topo, edge, request.rate));
         encoding.problem.set_coefficient(
-            encoding.link_row[static_cast<std::size_t>(link)], var, -rate);
+            encoding.link_row[static_cast<std::size_t>(edge.link)], var,
+            -rate);
         if (encoding.heuristic == Heuristic::weighted_shortest_path)
             encoding.problem.set_cost(
                 var, weight + kEpsilonCost +
@@ -401,34 +416,63 @@ void patch_request_rate(Mip_encoding& encoding,
     }
 }
 
+int patch_link_state(Mip_encoding& encoding, const topo::Topology& topo,
+                     const std::vector<Guaranteed_request>& requests,
+                     topo::LinkId link) {
+    int patched = 0;
+    for (std::size_t r = 0; r < requests.size(); ++r) {
+        const auto& logical = requests[r].logical;
+        for (int e = 0; e < logical.graph.edge_count(); ++e) {
+            const Logical_edge& edge =
+                logical.edges[static_cast<std::size_t>(e)];
+            if (edge.link != link) continue;
+            encoding.problem.set_bounds(
+                encoding.edge_vars[r][static_cast<std::size_t>(e)], 0.0,
+                edge_upper(topo, edge, requests[r].rate));
+            ++patched;
+        }
+    }
+    return patched;
+}
+
 Provision_result solve_encoding(const topo::Topology& topo,
                                 const std::vector<Guaranteed_request>& requests,
                                 const Mip_encoding& encoding,
-                                const mip::Options& options,
-                                const lp::Basis* root_warm,
-                                lp::Basis* basis_out) {
+                                const mip::Options& options) {
     Provision_result out;
-    // Root start order: the caller's basis, else the shortest-path crash
-    // (mip::solve ignores both when warm_start is off, and an empty crash
-    // leaves the two-phase cold start).
-    lp::Basis crash;
-    const lp::Basis* start = root_warm;
-    const char* start_kind = "previous";
-    if ((start == nullptr || start->empty()) && options.warm_start) {
-        crash = detail::crash_basis(topo, requests, encoding);
-        start = &crash;
-        start_kind = "crash";
-    }
-    mip::Solution solution = mip::solve(encoding.problem, options, start);
-    out.root_start = solution.root_warm_started ? start_kind : "cold";
     out.solver = "mip";
     out.variables = encoding.problem.variable_count();
     out.constraints = encoding.problem.relaxation().constraint_count();
+    // mip::solve ignores the root basis when warm_start is off, so no crash
+    // is built then: the two-phase solve decides the same encoding by LP
+    // alone, an anchor independent of the crash search and of its refusal
+    // below.
+    detail::Crash crash;
+    if (options.warm_start) {
+        crash = detail::crash_basis(topo, requests, encoding);
+        if (crash.unroutable) {
+            // Sound without an LP: the unroutable request must take one
+            // s ~> t path, and every path crosses an edge the encoding fixes
+            // at zero — its link is down, or narrower than the rate, so (2)
+            // and (5) forbid it. The two-phase solve proves the same with
+            // an LP. Several requests over-subscribing a link together are
+            // left to the LP.
+            const Guaranteed_request& request = requests[*crash.unroutable];
+            out.proven_infeasible = true;
+            out.diagnostic = "statement '" + request.id + "' needs " +
+                             to_string(request.rate) +
+                             " but every path crosses a narrower or failed "
+                             "link";
+            return out;
+        }
+    }
+    const mip::Solution solution =
+        mip::solve(encoding.problem, options, &crash.basis);
+    out.root_start = solution.root_warm_started ? "crash" : "cold";
     out.mip_nodes = solution.nodes_explored;
     out.simplex_iterations = solution.simplex_iterations;
     out.lp_factorizations = solution.lp_factorizations;
     out.warm_started_nodes = solution.warm_started_nodes;
-    if (basis_out != nullptr) *basis_out = std::move(solution.basis);
     if (!solution.usable()) {
         out.proven_infeasible = solution.status == mip::Status::infeasible;
         return out;

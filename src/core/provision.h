@@ -76,12 +76,12 @@ struct Provision_result {
     long long simplex_iterations = 0;
     int lp_factorizations = 0;
     int warm_started_nodes = 0;
-    // Which basis the root LP of the full encoding started from:
-    // "previous" (the caller's basis from an earlier solve), "crash" (the
-    // per-request shortest-path basis of detail::crash_basis) or "cold"
-    // (two-phase from the all-artificial basis: no crash was possible, the
-    // offered basis was rejected, or mip::Options::warm_start is off).
-    // "none" when no full-encoding root LP ran (greedy, certified colgen).
+    // Which basis the root LP of the full encoding started from: "crash"
+    // (the per-request shortest-path basis of detail::crash_basis) or
+    // "cold" (two-phase from the all-artificial basis: the crash was
+    // rejected, or mip::Options::warm_start is off). "none" when no
+    // full-encoding root LP ran (greedy, certified colgen, or a request the
+    // crash search proved unroutable).
     const char* root_start = "none";
     // Heuristic objective value of the selected solution (0 when
     // infeasible or solved greedily). All solver modes minimize the same
@@ -104,8 +104,7 @@ struct Provision_result {
 // place. core::Engine keeps one of these alive across delta operations: a
 // bandwidth re-allocation touches only the affected constraint-(2)
 // coefficients and objective costs, a link failure only the bounds of the
-// binaries crossing that link — no re-encoding, and the previous optimal
-// basis stays usable as a warm start.
+// binaries crossing that link — no re-encoding.
 struct Mip_encoding {
     mip::Problem problem;
     // Per request, per logical edge: the edge's binary variable.
@@ -126,31 +125,44 @@ struct Mip_encoding {
 };
 
 // Encodes constraints (1)-(5) and the heuristic objective for `requests`.
-// Edges that cross a link currently marked down have their binaries fixed
-// to zero, so the encoding of a degraded topology is reachable both from
-// scratch and by patching bounds into a live encoding.
+// An edge whose link is down, or narrower than its request's rate, has its
+// binary fixed to zero: one crossing alone would need r_uv = rate / c_uv
+// > 1, which (2) and (5) forbid, so the fixing removes no integral
+// solution. It keeps a request from riding the LP's feasibility tolerance
+// past a link's exact capacity, and it is what the crash basis searches
+// around. The encoding's shape does not depend on link state or rates, so
+// a live encoding reaches the same bounds by patching.
 [[nodiscard]] Mip_encoding encode_provisioning(
     const topo::Topology& topo, const std::vector<Guaranteed_request>& requests,
     Heuristic heuristic);
 
 // Re-applies request r's (changed) rate to a live encoding: constraint-(2)
-// coefficients on every link the request's logical edges cross, and the
-// weighted-shortest-path objective costs. The result is bit-identical to
-// re-encoding from scratch with the new rate.
-void patch_request_rate(Mip_encoding& encoding,
+// coefficients on every link the request's logical edges cross, the
+// weighted-shortest-path objective costs and the fixings of edges over
+// links narrower than the rate. The result is bit-identical to re-encoding
+// from scratch with the new rate.
+void patch_request_rate(Mip_encoding& encoding, const topo::Topology& topo,
                         const std::vector<Guaranteed_request>& requests,
                         std::size_t r);
 
-// Solves a live encoding and extracts paths/maxima/stats. The root LP
-// starts from `root_warm` when it is non-empty, else from the
-// shortest-path crash basis, else (no crash possible, or a basis rejected)
-// two-phase cold; Provision_result::root_start says which. `basis_out`,
-// when non-null, receives the incumbent's LP basis for the next warm
-// start.
+// Re-applies `link`'s state in `topo` to a live encoding: the bounds of
+// every binary crossing it, bit-identical to re-encoding from scratch.
+// Returns the number of bounds patched.
+int patch_link_state(Mip_encoding& encoding, const topo::Topology& topo,
+                     const std::vector<Guaranteed_request>& requests,
+                     topo::LinkId link);
+
+// Solves a live encoding and extracts paths/maxima/stats. With
+// mip::Options::warm_start on, the root LP starts from the shortest-path
+// crash basis (two-phase cold when lp::solve rejects it), and a request
+// the crash search cannot route is refused as proven infeasible with no LP
+// run and a diagnostic naming it; with warm_start off the root runs
+// two-phase. Provision_result::root_start says which. The start depends
+// only on the encoding, so a patched encoding solves exactly like a fresh
+// one.
 [[nodiscard]] Provision_result solve_encoding(
     const topo::Topology& topo, const std::vector<Guaranteed_request>& requests,
-    const Mip_encoding& encoding, const mip::Options& options,
-    const lp::Basis* root_warm = nullptr, lp::Basis* basis_out = nullptr);
+    const Mip_encoding& encoding, const mip::Options& options);
 
 // Solves the provisioning MIP exactly (the paper's formulation): a one-shot
 // encode_provisioning + solve_encoding. Requests must have solvable logical
@@ -197,19 +209,26 @@ namespace detail {
 
 // A starting basis for the root LP of a live encoding, built from one
 // shortest-path tree per request over the encoding's current objective
-// costs (edges the encoding fixes at zero are skipped). Each tree edge is
-// basic in its target vertex's flow row, the source row and every row the
-// tree misses keep the zero-pinned artificial (-1), each link's r_uv is
-// basic in its row (2), and rows (3)/(4) keep their slacks except that
-// r_max takes row (3) of the link with the largest load ratio and R_max
-// row (4) of the most loaded link, the loads being those of the tree
-// paths. The matrix is block lower-triangular, so it always factorizes;
-// it is primal feasible exactly when no link is loaded past capacity, and
-// under weighted-shortest-path it is then already optimal. Empty when a
-// request's sink is unreachable.
-[[nodiscard]] lp::Basis crash_basis(
-    const topo::Topology& topo, const std::vector<Guaranteed_request>& requests,
-    const Mip_encoding& encoding);
+// costs. The search skips every edge the encoding fixes at zero (its link
+// is down or narrower than the request's rate). Each tree edge is basic in
+// its target vertex's flow row, the source row and every row the tree
+// misses keep the zero-pinned artificial (-1), each link's r_uv is basic
+// in its row (2), and rows (3)/(4) keep their slacks except that r_max
+// takes row (3) of the link with the largest load ratio and R_max row (4)
+// of the most loaded link, the loads being those of the tree paths. The
+// matrix is block lower-triangular, so it always factorizes; it is primal
+// feasible exactly when no link is loaded past capacity, and under
+// weighted-shortest-path it is then already optimal.
+struct Crash {
+    lp::Basis basis;  // empty when a request is unroutable
+    // The first request whose sink the search cannot reach. The MIP is
+    // then infeasible: a request travels one path, and every path crosses
+    // an edge fixed at zero.
+    std::optional<std::size_t> unroutable;
+};
+[[nodiscard]] Crash crash_basis(const topo::Topology& topo,
+                                const std::vector<Guaranteed_request>& requests,
+                                const Mip_encoding& encoding);
 
 // Walks the selected edges from source to sink, collecting the location
 // word, physical path, crossed links and function placements.

@@ -62,9 +62,9 @@ Solution solve(const Problem& problem, const Options& options,
     std::priority_queue<std::shared_ptr<Node>, std::vector<std::shared_ptr<Node>>,
                         NodeOrder>
         open;
-    // A caller-provided basis (from a previous solve of this problem before
-    // bound/coefficient patches) seeds the root exactly like a parent basis
-    // seeds a child node; the LP layer falls back to a cold start if stale.
+    // A caller-provided basis seeds the root exactly like a parent basis
+    // seeds a child node; the LP layer falls back to a cold start if it is
+    // singular or cannot be repaired.
     std::shared_ptr<const lp::Basis> root_basis;
     if (options.warm_start && root_warm != nullptr && !root_warm->empty())
         root_basis = std::make_shared<const lp::Basis>(*root_warm);
@@ -134,7 +134,6 @@ Solution solve(const Problem& problem, const Options& options,
             incumbent.status = Status::optimal;
             incumbent.objective = lp_solution.objective;
             incumbent.x = lp_solution.x;
-            incumbent.basis = std::move(lp_solution.basis);
             // Snap binaries exactly.
             for (int var : problem.binaries_) {
                 auto& v = incumbent.x[static_cast<std::size_t>(var)];

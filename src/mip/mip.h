@@ -55,11 +55,6 @@ struct Solution {
     // when none was given, when warm_start is off, or when the basis was
     // rejected and the root ran the two-phase cold start).
     bool root_warm_started = false;
-    // LP basis at the incumbent (empty when no usable solution, or when the
-    // incumbent's LP could not export one). Feed it back as `root_warm` on a
-    // re-solve after bound/coefficient patches: the provisioning engine's
-    // bandwidth deltas restart branch & bound from here.
-    lp::Basis basis;
 
     [[nodiscard]] bool optimal() const { return status == Status::optimal; }
     // True when `x` holds a usable integral solution.
@@ -98,9 +93,9 @@ private:
     std::vector<int> binaries_;
 };
 
-// `root_warm`, when non-null, warm-starts the root relaxation (and, through
-// basis inheritance, the whole tree) from a basis exported by a previous
-// solve of a structurally identical problem.
+// `root_warm`, when non-null and non-empty, warm-starts the root
+// relaxation (and, through basis inheritance, the whole tree): a basis
+// built for this problem, such as core's shortest-path crash basis.
 [[nodiscard]] Solution solve(const Problem& problem,
                              const Options& options = {},
                              const lp::Basis* root_warm = nullptr);

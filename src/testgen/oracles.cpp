@@ -972,64 +972,91 @@ std::optional<std::string> check_solvers(
         }
     }
 
-    // The cold anchor is a true two-phase solve (warm_start = false
-    // ignores every root basis). The default solve, which starts from the
-    // shortest-path crash basis, and a re-solve warm-started from its
-    // basis (the engine's bandwidth fast path) must both land on the
-    // anchor's optimum: the same verdict and the same paths, or paths that
-    // tie exactly at jitter resolution as in describe_difference.
-    core::Mip_encoding encoding =
-        core::encode_provisioning(topo, requests, options.heuristic);
+    // The anchor is a true two-phase solve (warm_start = false builds no
+    // crash and ignores every root basis). The default solve starts from
+    // the shortest-path crash basis or refuses an unroutable request
+    // without an LP; it must land on the anchor's optimum: the same
+    // verdict and the same paths, or paths that tie exactly at jitter
+    // resolution as in describe_difference.
     mip::Options two_phase = options.mip;
     two_phase.warm_start = false;
-    const core::Provision_result cold =
-        core::solve_encoding(topo, requests, encoding, two_phase);
-    // A node-limit-truncated branch & bound keeps an exploration-order-
-    // dependent incumbent; start-independence is only a theorem for solves
-    // that ran to completion.
-    if (cold.mip_nodes >= options.mip.max_nodes) return std::nullopt;
-    const auto against_cold =
-        [&](const char* what,
-            const core::Provision_result& other) -> std::optional<std::string> {
-        if (cold.feasible != other.feasible ||
-            cold.proven_infeasible != other.proven_infeasible)
+    const auto crash_vs_cold =
+        [&](const core::Provision_result& cold,
+            const core::Provision_result& crash,
+            const std::string& what) -> std::optional<std::string> {
+        // A node-limit-truncated branch & bound keeps an exploration-order-
+        // dependent incumbent; start-independence is only a theorem for
+        // solves that ran to completion.
+        if (cold.mip_nodes >= options.mip.max_nodes ||
+            crash.mip_nodes >= options.mip.max_nodes)
+            return std::nullopt;
+        if (cold.feasible != crash.feasible ||
+            cold.proven_infeasible != crash.proven_infeasible)
             return fail(what, "verdict differs");
         if (!cold.feasible) return std::nullopt;
-        if (cold.paths.size() != other.paths.size())
+        if (cold.paths.size() != crash.paths.size())
             return fail(what, "path count differs");
         bool tied = false;
         for (std::size_t i = 0; i < cold.paths.size(); ++i) {
-            if (!diff_path(cold.paths[i], other.paths[i], "")) continue;
+            if (!diff_path(cold.paths[i], crash.paths[i], "")) continue;
             const ir::PathPtr* expression = nullptr;
             for (const Statement_spec& spec : statements)
                 if (spec.stmt.id == cold.paths[i].id)
                     expression = &spec.stmt.path;
             if (expression == nullptr ||
-                !proven_tie(cold.paths[i], other.paths[i], *expression, topo))
-                return diff_path(cold.paths[i], other.paths[i],
-                                 std::string(what) + " path");
+                !proven_tie(cold.paths[i], crash.paths[i], *expression, topo))
+                return diff_path(cold.paths[i], crash.paths[i], what + " path");
             tied = true;
         }
         // Tied paths may load different links, so the maxima may move.
         if (!tied) {
-            if (cold.r_max != other.r_max)
+            if (cold.r_max != crash.r_max)
                 return fail(what, "r_max " + std::to_string(cold.r_max) +
-                                      " vs " + std::to_string(other.r_max));
-            if (cold.big_r_max != other.big_r_max)
+                                      " vs " + std::to_string(crash.r_max));
+            if (cold.big_r_max != crash.big_r_max)
                 return fail(what, "R_max differs");
         }
         return std::nullopt;
     };
-    lp::Basis basis;
-    const core::Provision_result crash = core::solve_encoding(
-        topo, requests, encoding, options.mip, nullptr, &basis);
-    if (crash.mip_nodes >= options.mip.max_nodes) return std::nullopt;
-    if (auto d = against_cold("crash-vs-cold", crash)) return d;
-    if (basis.empty()) return std::nullopt;
-    const core::Provision_result warm = core::solve_encoding(
-        topo, requests, encoding, options.mip, &basis, nullptr);
-    if (warm.mip_nodes >= options.mip.max_nodes) return std::nullopt;
-    return against_cold("warm-vs-cold", warm);
+    const core::Mip_encoding encoding =
+        core::encode_provisioning(topo, requests, options.heuristic);
+    if (auto d = crash_vs_cold(
+            core::solve_encoding(topo, requests, encoding, two_phase),
+            core::solve_encoding(topo, requests, encoding, options.mip),
+            "crash-vs-cold"))
+        return d;
+
+    // The encoding's narrow-link fixings and the refusal at their boundary:
+    // the first request alone at exactly each distinct link capacity (it
+    // may cross that link) and 1 bps above it (it may not). Both starts see
+    // the same fixings, so they are also held to the greedy solver's own
+    // residual test and to the exact capacity check.
+    std::set<std::uint64_t> capacities;
+    for (topo::LinkId link = 0; link < topo.link_count(); ++link)
+        capacities.insert(topo.link(link).capacity.bps());
+    std::vector<core::Guaranteed_request> alone{requests.front()};
+    for (const std::uint64_t capacity : capacities)
+        for (const std::uint64_t rate : {capacity, capacity + 1}) {
+            alone.front().rate = Bandwidth(rate);
+            const std::string what = "'" + alone.front().id + "' alone at " +
+                                     std::to_string(rate) + " bps";
+            const core::Mip_encoding single =
+                core::encode_provisioning(topo, alone, options.heuristic);
+            const core::Provision_result crash =
+                core::solve_encoding(topo, alone, single, options.mip);
+            if (auto d = crash_vs_cold(
+                    core::solve_encoding(topo, alone, single, two_phase),
+                    crash, what + ": crash-vs-cold"))
+                return d;
+            if (crash.proven_infeasible &&
+                core::provision_greedy(topo, alone, options.heuristic)
+                    .feasible)
+                return fail(what, "greedy routes it, the MIP proves it "
+                                  "infeasible (" + crash.diagnostic + ")");
+            if (auto d = check_capacity(topo, crash))
+                return fail(what + " MIP solution", *d);
+        }
+    return std::nullopt;
 }
 
 // --------------------------------------------------------------- diff oracle

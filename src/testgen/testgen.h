@@ -23,9 +23,9 @@
 //     and deliver every pinned best-effort statement;
 //   * solver cross-checks — greedy feasibility implies exact-MIP
 //     feasibility (never the reverse: the greedy provisioner is allowed to
-//     miss), a proved-infeasible MIP refutes the greedy solver, and a
-//     warm-started re-solve of the same encoding reproduces the cold
-//     optimum exactly.
+//     miss), a proved-infeasible MIP refutes the greedy solver, and the
+//     crash-started solve (or its refusal of an unroutable request)
+//     reaches a two-phase solve's verdict and optimum.
 //
 // Scenarios are value types: serializable to a line-based repro file that
 // parses back to an equal scenario (replays are deterministic), and
@@ -226,8 +226,11 @@ struct Gen_options {
 
 // Solver cross-checks over the scenario's current guaranteed statements:
 // greedy-feasible => MIP-feasible, MIP proven-infeasible => greedy fails,
-// both solutions respect capacities, and a warm-started re-solve of the
-// same encoding reproduces the cold objective and paths exactly.
+// both solutions respect capacities, colgen and sharded reach the full
+// encoding's verdict, and the crash-started solve (with its unroutable-
+// request refusal) lands on a two-phase solve's verdict and paths — on
+// the scenario's requests and on its first request alone at every link
+// capacity of the topology and 1 bps above it.
 [[nodiscard]] std::optional<std::string> check_solvers(
     const topo::Topology& topo,
     const std::vector<Statement_spec>& statements,

@@ -4,15 +4,17 @@
 // engine's published Compilation is identical to a from-scratch
 // core::compile() of the engine's current policy against its current
 // topology — plans, provisioned paths, sink trees, class automata,
-// allocations, diagnostics. On top of that, the deltas must be *cheap* in
-// the right way: a bandwidth-only change performs zero automata builds,
-// zero logical-topology builds, zero sink-tree builds and zero LP
-// re-encodings (asserted via the engine's work counters), and warm-starts
-// branch & bound from the previous basis on MIP-solved configurations.
+// allocations, diagnostics — and, since every full-encoding solve starts
+// from the crash basis of its encoding, the solver's work counters too. On
+// top of that, the deltas must be *cheap* in the right way: a
+// bandwidth-only change performs zero automata builds, zero
+// logical-topology builds, zero sink-tree builds and zero LP re-encodings
+// (asserted via the engine's work counters).
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <optional>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -62,9 +64,10 @@ void expect_path_equal(const core::Provisioned_path& a,
     EXPECT_EQ(a.rate, b.rate);
 }
 
-// Engine state vs a from-scratch compile. Solver *work* counters
-// (nodes/iterations) legitimately differ between a warm and a cold solve;
-// everything observable about the provisioning outcome must not.
+// Engine state vs a from-scratch compile: everything observable about the
+// outcome, and the solve itself bit for bit — both start from the crash
+// basis of bit-identical encodings, so the objective, the maxima, the root
+// start and the work it took match too.
 void expect_equivalent(const Compilation& engine, const Compilation& fresh) {
     ASSERT_EQ(engine.feasible, fresh.feasible);
     EXPECT_EQ(engine.diagnostic, fresh.diagnostic);
@@ -105,8 +108,15 @@ void expect_equivalent(const Compilation& engine, const Compilation& fresh) {
     for (std::size_t i = 0; i < engine.provision.paths.size(); ++i)
         expect_path_equal(engine.provision.paths[i],
                           fresh.provision.paths[i]);
-    EXPECT_DOUBLE_EQ(engine.provision.r_max, fresh.provision.r_max);
+    EXPECT_EQ(engine.provision.r_max, fresh.provision.r_max);
     EXPECT_EQ(engine.provision.big_r_max, fresh.provision.big_r_max);
+    EXPECT_EQ(engine.provision.objective, fresh.provision.objective);
+    EXPECT_STREQ(engine.provision.root_start, fresh.provision.root_start);
+    EXPECT_EQ(engine.provision.simplex_iterations,
+              fresh.provision.simplex_iterations);
+    EXPECT_EQ(engine.provision.lp_factorizations,
+              fresh.provision.lp_factorizations);
+    EXPECT_EQ(engine.provision.mip_nodes, fresh.provision.mip_nodes);
 }
 
 void expect_matches_fresh_compile(const Engine& engine,
@@ -188,7 +198,7 @@ TEST(Engine, BandwidthDeltaDoesZeroRebuildWorkAndWarmStarts) {
     EXPECT_TRUE(update.solver_run);
     // The paper's no-recompilation claim, as counters: no automata, no
     // logical topologies, no sink trees, no re-encoding — only an in-place
-    // coefficient patch and a warm-started re-solve.
+    // coefficient patch and a re-solve whose root starts at the crash.
     EXPECT_EQ(update.work.automata_built, 0);
     EXPECT_EQ(update.work.logical_builds, 0);
     EXPECT_EQ(update.work.trees_built, 0);
@@ -697,26 +707,39 @@ TEST(Engine, CheckpointRestoreRewindsEverythingAndFiresNoHook) {
     expect_matches_fresh_compile(engine, options);
 }
 
-TEST(Engine, RestoredBasisWarmStartsTheLazyReEncode) {
+TEST(Engine, RefusedAndRestoredDeltaLeavesNoSolverState) {
     // A refused delta is rewound with restore(), which drops the LP
-    // skeleton but brings the basis back. The next solve re-encodes; it
-    // must still start from that basis, not from scratch.
+    // skeleton. Nothing of the solver survives it: the next solve
+    // re-encodes, starts from the crash basis and does exactly the work of
+    // a fresh compile.
     const topo::Topology t = diamond();
     const core::Compile_options options = mip_options();
     Engine engine(diamond_policy(t, mbps(50)), t, options);
 
     const Engine::Checkpoint saved = engine.checkpoint();
-    // 600 Mbps exceeds both disjoint paths.
-    ASSERT_FALSE(engine.set_bandwidth("g", mbps(600)).feasible);
+    // 600 Mbps is wider than every switch link: the crash search refuses it
+    // without an LP and names the statement.
+    const Update_result refused = engine.set_bandwidth("g", mbps(600));
+    ASSERT_FALSE(refused.feasible);
+    EXPECT_TRUE(refused.solver_run);
+    EXPECT_FALSE(refused.warm_started);
+    EXPECT_EQ(refused.diagnostic, "statement 'g' needs " +
+                                      to_string(mbps(600)) +
+                                      " but every path crosses a narrower "
+                                      "or failed link");
+    EXPECT_TRUE(engine.current().provision.proven_infeasible);
+    EXPECT_STREQ(engine.current().provision.root_start, "none");
+    EXPECT_EQ(engine.current().provision.simplex_iterations, 0);
+    expect_matches_fresh_compile(engine, options);
     engine.restore(saved);
     const Update_result retune = engine.set_bandwidth("g", mbps(120));
     ASSERT_TRUE(retune.feasible);
     EXPECT_EQ(retune.work.lp_encodings, 1);
     EXPECT_TRUE(retune.warm_started);
-    EXPECT_STREQ(engine.current().provision.root_start, "previous");
+    EXPECT_STREQ(engine.current().provision.root_start, "crash");
     expect_matches_fresh_compile(engine, options);
 
-    // A link delta after a refusal re-encodes and warm-starts the same way.
+    // A link delta after a refusal re-encodes and starts the same way.
     const Engine::Checkpoint again = engine.checkpoint();
     ASSERT_FALSE(engine.set_bandwidth("g", mbps(600)).feasible);
     engine.restore(again);
@@ -725,6 +748,172 @@ TEST(Engine, RestoredBasisWarmStartsTheLazyReEncode) {
     EXPECT_EQ(failed.work.lp_encodings, 1);
     EXPECT_TRUE(failed.warm_started);
     expect_matches_fresh_compile(engine, options);
+}
+
+// `.* <location> .*`
+ir::PathPtr waypoint_path(const std::string& location) {
+    return ir::path_seq(
+        ir::path_seq(ir::path_any_star(), ir::path_symbol(location)),
+        ir::path_any_star());
+}
+
+// A perfbench-shaped tenant policy on fat_tree(4): `count` statements on
+// distinct host pairs, each pinned by its pair and a tcp.dst port; every
+// fifth from the third on is guaranteed at 1-50 Mbps times `scale`, and
+// every tenth from the sixth on takes a `.* cN .*` waypoint path.
+ir::Policy tenant_policy(const topo::Topology& t, Rng& rng, int count,
+                         int scale) {
+    const core::Addressing addressing(t);
+    const auto hosts = t.hosts();
+    std::set<std::pair<topo::NodeId, topo::NodeId>> used;
+    ir::Policy policy;
+    for (int n = 0; n < count; ++n) {
+        topo::NodeId src = 0;
+        topo::NodeId dst = 0;
+        do {
+            src = hosts[static_cast<std::size_t>(rng.uniform(
+                0, static_cast<std::int64_t>(hosts.size()) - 1))];
+            dst = hosts[static_cast<std::size_t>(rng.uniform(
+                0, static_cast<std::int64_t>(hosts.size()) - 1))];
+        } while (src == dst || used.contains({src, dst}));
+        used.emplace(src, dst);
+        ir::Statement s;
+        s.id = indexed("s", n);
+        s.predicate = ir::pred_and(addressing.pair_predicate(src, dst),
+                                   ir::pred_test("tcp.dst", 8000 + n));
+        s.path = n % 10 == 5 ? waypoint_path(indexed("c", n / 10 % 4))
+                             : ir::path_any_star();
+        policy.statements.push_back(std::move(s));
+        if (n % 5 != 2) continue;
+        ir::Term term;
+        term.ids.push_back(indexed("s", n));
+        const auto leaf = ir::formula_min(
+            std::move(term), mbps(static_cast<std::uint64_t>(
+                                 rng.uniform(1, 50) * scale)));
+        policy.formula =
+            policy.formula ? ir::formula_and(policy.formula, leaf) : leaf;
+    }
+    return policy;
+}
+
+TEST(Engine, RetuneStreamSolvesExactlyLikeABatchCompile) {
+    // The perfbench `retune` mix at 1x and 9x rates on 32 tenants: rate
+    // retunes, core-link failures and repairs, over-capacity retunes and
+    // rolled-back deltas, each step undone with restore() when it comes
+    // out infeasible, as the daemon does. After every step the engine's
+    // solve must be a batch compile's bit for bit — paths, objective,
+    // r_max, R_max and the simplex work — because both start from the
+    // crash basis of bit-identical encodings.
+    const topo::Topology t = topo::fat_tree(4);
+    std::vector<topo::LinkId> uplinks;
+    for (topo::LinkId l = 0; l < t.link_count(); ++l)
+        if (t.node(t.link(l).a).name[0] == 'c' ||
+            t.node(t.link(l).b).name[0] == 'c')
+            uplinks.push_back(l);
+    ASSERT_FALSE(uplinks.empty());
+    const core::Compile_options options;
+    for (const int scale : {1, 9}) {
+        Rng rng(static_cast<std::uint64_t>(411 + scale));
+        Engine engine(tenant_policy(t, rng, 32, scale), t, options);
+        ASSERT_TRUE(engine.current().feasible) << scale;
+        ASSERT_STREQ(engine.current().provision.solver, "mip");
+        std::vector<std::string> guaranteed;
+        for (const core::Statement_plan& plan : engine.current().plans)
+            if (plan.guaranteed()) guaranteed.push_back(plan.statement.id);
+        std::set<topo::LinkId> failed;
+        int infeasible = 0;
+        int rolled_back = 0;
+        for (int step = 0; step < 40; ++step) {
+            SCOPED_TRACE(indexed("scale", scale) + ' ' +
+                         indexed("step", step));
+            const Engine::Checkpoint saved = engine.checkpoint();
+            Update_result result;
+            topo::LinkId link = topo::kNoLink;
+            if (step % 8 == 7 && !failed.empty()) {
+                link = *failed.begin();
+                result = engine.restore_link(link);
+            } else if (step % 4 == 3) {
+                do {
+                    link = uplinks[static_cast<std::size_t>(rng.uniform(
+                        0, static_cast<std::int64_t>(uplinks.size()) - 1))];
+                } while (failed.contains(link));
+                result = engine.fail_link(link);
+            } else {
+                const std::string& id =
+                    guaranteed[static_cast<std::size_t>(rng.uniform(
+                        0,
+                        static_cast<std::int64_t>(guaranteed.size()) - 1))];
+                const auto rate =
+                    step % 20 == 10
+                        ? 5000
+                        : static_cast<std::uint64_t>(rng.uniform(1, 100) *
+                                                     scale);
+                result = engine.set_bandwidth(id, mbps(rate));
+            }
+            expect_matches_fresh_compile(engine, options);
+            // An infeasible delta is undone, and so is every seventh
+            // feasible one, as when a later gate refuses it.
+            if (!result.feasible || step % 7 == 6) {
+                ++(result.feasible ? rolled_back : infeasible);
+                engine.restore(saved);
+                expect_matches_fresh_compile(engine, options);
+            } else if (link != topo::kNoLink && !failed.erase(link)) {
+                failed.insert(link);
+            }
+        }
+        EXPECT_GT(infeasible, 0) << scale;
+        EXPECT_GT(rolled_back, 0) << scale;
+    }
+}
+
+TEST(Engine, PersistentPoolCompilesLikeOneThread) {
+    // One engine fans out over its own pool (4 jobs) across 48 deltas: 24
+    // core-link failures and repairs, which rebuild every sink tree, and
+    // best-effort waypoint statements, whose new classes build their
+    // trees. Another runs every loop inline. Their compilations must agree
+    // after every delta.
+    const topo::Topology t = topo::fat_tree(4);
+    const ir::Policy p = bench::all_pairs_policy(t, 6, mb_per_sec(1));
+    core::Compile_options pooled_options = mip_options();
+    pooled_options.jobs = 4;
+    pooled_options.check_disjoint = false;  // `web` refines a pair's class
+    core::Compile_options inline_options = pooled_options;
+    inline_options.jobs = 1;
+    Engine pooled(p, t, pooled_options);
+    Engine single(p, t, inline_options);
+    EXPECT_EQ(pooled.current().threads_used, 4);
+    EXPECT_EQ(single.current().threads_used, 1);
+    expect_equivalent(pooled.current(), single.current());
+
+    int deltas = 0;
+    const auto both = [&](const auto& delta) {
+        for (Engine* engine : {&pooled, &single})
+            ASSERT_TRUE(delta(*engine).feasible);
+        expect_equivalent(pooled.current(), single.current());
+        ++deltas;
+    };
+    std::vector<topo::LinkId> core_links;
+    for (topo::LinkId l = 0; l < t.link_count(); ++l)
+        if (t.node(t.link(l).a).kind != topo::Node_kind::host &&
+            t.node(t.link(l).b).kind != topo::Node_kind::host)
+            core_links.push_back(l);
+    const core::Addressing addressing(t);
+    const auto hosts = t.hosts();
+    for (std::size_t i = 0; i < 12; ++i) {
+        const topo::LinkId link = core_links[i * 3 % core_links.size()];
+        both([&](Engine& e) { return e.fail_link(link); });
+        ir::Statement web;
+        web.id = "web";
+        web.predicate = ir::pred_and(
+            addressing.pair_predicate(hosts[i], hosts[i + 1]),
+            ir::pred_test("tcp.dst", 80));
+        web.path = waypoint_path(indexed("c", static_cast<int>(i % 4)));
+        both([&](Engine& e) { return e.add_statement(web); });
+        both([&](Engine& e) { return e.restore_link(link); });
+        both([&](Engine& e) { return e.remove_statement("web"); });
+    }
+    EXPECT_EQ(deltas, 48);
+    expect_matches_fresh_compile(pooled, pooled_options);
 }
 
 TEST(Engine, PublishHookFiresOncePerCompletedDeltaIncludingInfeasible) {

@@ -6,6 +6,8 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <optional>
+#include <set>
 #include <string>
 #include <string_view>
 
@@ -194,10 +196,10 @@ TEST(ProvisionGreedy, BigRMaxAccumulatesExactBps) {
 
 // ---------------------------------------------------------------- crash basis
 //
-// A solve with no previous basis starts its root LP from
-// detail::crash_basis, one shortest-path tree per request. These tests hold
-// it to a true two-phase cold start (warm_start = false ignores every root
-// basis).
+// With warm_start on, a solve starts its root LP from detail::crash_basis,
+// one shortest-path tree per request. These tests hold it to a true
+// two-phase cold start (warm_start = false builds no crash and ignores
+// every root basis).
 
 automata::Nfa path_dfa(const topo::Topology& t, const std::string& path) {
     const auto nfa = automata::remove_epsilon(
@@ -382,7 +384,7 @@ TEST(ProvisionMip, WarmStartMatchesColdOnFatTree4) {
     // root_start must say which.
     const Mip_encoding encoding =
         encode_provisioning(t, requests, Heuristic::min_max_ratio);
-    const lp::Basis crash = detail::crash_basis(t, requests, encoding);
+    const lp::Basis crash = detail::crash_basis(t, requests, encoding).basis;
     ASSERT_FALSE(crash.empty());
     EXPECT_GT(max_tree_load(t, requests, encoding), 1.0);
     const lp::Solution root =
@@ -499,7 +501,8 @@ TEST(ProvisionCrash, PerfbenchShapedInstanceStartsAtTheOptimum) {
     const auto requests = seeded_requests(t, rng, 12, 1, 10);
     for (const Heuristic h : kHeuristics) {
         const Mip_encoding encoding = encode_provisioning(t, requests, h);
-        const lp::Basis crash = detail::crash_basis(t, requests, encoding);
+        const lp::Basis crash =
+            detail::crash_basis(t, requests, encoding).basis;
         ASSERT_FALSE(crash.empty()) << to_string(h);
         const lp::Solution root =
             lp::solve(encoding.problem.relaxation(), {}, &crash);
@@ -531,7 +534,7 @@ TEST(ProvisionCrash, TreeAvoidsAFailedLink) {
     t.set_link_state(failed, false);
 
     const Mip_encoding encoding = encode_provisioning(t, requests, {});
-    const lp::Basis crash = detail::crash_basis(t, requests, encoding);
+    const lp::Basis crash = detail::crash_basis(t, requests, encoding).basis;
     ASSERT_FALSE(crash.empty());
     for (std::size_t i = 0; i < requests.size(); ++i) {
         const auto& logical = requests[i].logical;
@@ -556,19 +559,184 @@ TEST(ProvisionCrash, TreeAvoidsAFailedLink) {
                         got, "failed link");
 }
 
-TEST(ProvisionCrash, SinkBehindDownLinksFallsBackToTwoPhase) {
-    // Both h1 ~> h2 routes lose a link: no tree reaches the sink, so there
-    // is no crash, and the two-phase cold start proves infeasibility.
-    topo::Topology t = two_paths();
-    const auto requests = make_requests(t, 1, mb_per_sec(10));
-    t.set_link_state(*t.link_between(t.require("a1"), t.require("a2")), false);
-    t.set_link_state(*t.link_between(t.require("b1"), t.require("h2")), false);
+TEST(ProvisionCrash, OverSubscriptionTheCrashCannotRepairRunsTwoPhase) {
+    // 7 x 80 MB/s share the two h1 ~> h2 routes (400 + 100 MB/s). Each
+    // request fits the wide route alone, so the crash search refuses
+    // nothing, but its trees load all seven onto that route; the LP cannot
+    // repair the overload, and the two-phase start proves infeasibility.
+    const topo::Topology t = two_paths();
+    const auto requests = make_requests(t, 7, mb_per_sec(80));
     const Mip_encoding encoding = encode_provisioning(t, requests, {});
-    EXPECT_TRUE(detail::crash_basis(t, requests, encoding).empty());
+    const detail::Crash crash = detail::crash_basis(t, requests, encoding);
+    ASSERT_FALSE(crash.basis.empty());
+    EXPECT_FALSE(crash.unroutable.has_value());
+    EXPECT_GT(max_tree_load(t, requests, encoding), 1.0);
     const Provision_result got = solve_encoding(t, requests, encoding, {});
     EXPECT_FALSE(got.feasible);
     EXPECT_TRUE(got.proven_infeasible);
     EXPECT_STREQ(got.root_start, "cold");
+    EXPECT_GT(got.simplex_iterations, 0);
+    EXPECT_TRUE(got.diagnostic.empty());
+}
+
+// ------------------------------------------------------ bottleneck refusal
+//
+// The crash search skips links that are down or narrower than the
+// request's rate; a request whose sink it then cannot reach is refused as
+// proven infeasible with no LP run. two_paths() offers h1 ~> h2 a wide
+// route (400 MB/s) and a narrow one (100 MB/s).
+
+// One request h1 ~> h2 along `path` at `rate`.
+std::vector<Guaranteed_request> one_request(const topo::Topology& t,
+                                            Bandwidth rate,
+                                            const std::string& path = ".*") {
+    Guaranteed_request r;
+    r.id = "g";
+    r.rate = rate;
+    r.logical =
+        build_logical(t, path_dfa(t, path), t.require("h1"), t.require("h2"));
+    return {std::move(r)};
+}
+
+// The request was refused by the crash search: proven infeasible, no root
+// LP, no pivots, and a diagnostic naming the statement and its rate.
+void expect_refused(const Provision_result& got, Bandwidth rate) {
+    EXPECT_FALSE(got.feasible);
+    EXPECT_TRUE(got.proven_infeasible);
+    EXPECT_STREQ(got.root_start, "none");
+    EXPECT_EQ(got.simplex_iterations, 0);
+    EXPECT_EQ(got.lp_factorizations, 0);
+    EXPECT_EQ(got.mip_nodes, 0);
+    EXPECT_EQ(got.diagnostic, "statement 'g' needs " + to_string(rate) +
+                                  " but every path crosses a narrower or "
+                                  "failed link");
+}
+
+TEST(ProvisionRefusal, RateEqualToTheLinkCapacityIsProvisioned) {
+    const topo::Topology t = two_paths();
+    const Provision_result got = provision(t, one_request(t, mb_per_sec(400)));
+    ASSERT_TRUE(got.feasible);
+    EXPECT_STREQ(got.root_start, "crash");
+    EXPECT_DOUBLE_EQ(got.r_max, 1.0);
+    EXPECT_EQ(got.paths[0].nodes.size(), 4u);  // h1 a1 a2 h2
+}
+
+TEST(ProvisionRefusal, OneBpsOverTheWidestRouteIsRefusedWithoutAnLp) {
+    const topo::Topology t = two_paths();
+    const Bandwidth rate(mb_per_sec(400).bps() + 1);
+    const auto requests = one_request(t, rate);
+    const Mip_encoding encoding = encode_provisioning(t, requests, {});
+    const detail::Crash crash = detail::crash_basis(t, requests, encoding);
+    EXPECT_TRUE(crash.basis.empty());
+    EXPECT_EQ(crash.unroutable, std::optional<std::size_t>(0));
+    expect_refused(solve_encoding(t, requests, encoding, {}), rate);
+    EXPECT_EQ(to_string(rate), "3200000001bps");
+    // The two-phase solve builds no crash and proves the same with an LP.
+    const Provision_result cold =
+        solve_encoding(t, requests, encoding, two_phase_cold());
+    EXPECT_TRUE(cold.proven_infeasible);
+    EXPECT_STREQ(cold.root_start, "cold");
+    EXPECT_TRUE(cold.diagnostic.empty());
+}
+
+TEST(ProvisionRefusal, DownLinkOnTheOnlyWideRouteIsExcluded) {
+    // 200 MB/s fits only the wide route; with its a1-a2 link down the
+    // narrow route is all that is left.
+    topo::Topology t = two_paths();
+    const auto requests = one_request(t, mb_per_sec(200));
+    ASSERT_TRUE(provision(t, requests).feasible);
+    t.set_link_state(*t.link_between(t.require("a1"), t.require("a2")), false);
+    expect_refused(provision(t, requests), mb_per_sec(200));
+    EXPECT_TRUE(provision(t, requests, {}, two_phase_cold()).proven_infeasible);
+    // A rate the narrow route carries is still routed around the failure.
+    const Provision_result narrow =
+        provision(t, one_request(t, mb_per_sec(100)));
+    ASSERT_TRUE(narrow.feasible);
+    EXPECT_EQ(narrow.paths[0].nodes.size(), 3u);  // h1 b1 h2
+}
+
+TEST(ProvisionRefusal, WaypointPathWhoseOnlyCoreLinkIsNarrowIsRefused) {
+    // c hangs off s1 by one 100 Mbps link: `.* c .*` crosses it twice
+    // (in and back out), while `.*` avoids c.
+    topo::Topology t;
+    const auto h1 = t.add_host("h1");
+    const auto h2 = t.add_host("h2");
+    const auto s1 = t.add_switch("s1");
+    const auto s2 = t.add_switch("s2");
+    const auto c = t.add_switch("c");
+    t.add_link(h1, s1, gbps(1));
+    t.add_link(s1, s2, gbps(1));
+    t.add_link(s2, h2, gbps(1));
+    t.add_link(s1, c, mbps(100));
+    ASSERT_TRUE(provision(t, one_request(t, mbps(500))).feasible);
+    ASSERT_TRUE(provision(t, one_request(t, mbps(50), ".* c .*")).feasible);
+    // 60 Mbps fits each crossing but not both: the LP decides that one.
+    const Provision_result both =
+        provision(t, one_request(t, mbps(60), ".* c .*"));
+    EXPECT_TRUE(both.proven_infeasible);
+    EXPECT_STRNE(both.root_start, "none");
+    const auto requests = one_request(t, mbps(500), ".* c .*");
+    expect_refused(provision(t, requests), mbps(500));
+    EXPECT_TRUE(provision(t, requests, {}, two_phase_cold()).proven_infeasible);
+}
+
+TEST(ProvisionRefusal, RatesAroundEveryCapacityAgreeWithTwoPhase) {
+    // Seeded sets of one to three requests between random host pairs at
+    // rates on and around each distinct link capacity. The crash-started
+    // solve (with its refusal) and the two-phase solve must reach the same
+    // verdict on every instance, and both verdicts must occur.
+    struct Family {
+        const char* name;
+        topo::Topology topo;
+    };
+    const Family families[] = {{"two_paths", two_paths()},
+                               {"campus", topo::campus()}};
+    int refused = 0;
+    int feasible = 0;
+    int instances = 0;
+    for (const Family& family : families) {
+        const topo::Topology& t = family.topo;
+        std::set<std::uint64_t> capacities;
+        for (topo::LinkId l = 0; l < t.link_count(); ++l)
+            capacities.insert(t.link(l).capacity.bps());
+        Rng rng(2027);
+        for (const std::uint64_t capacity : capacities) {
+            const std::uint64_t rates[] = {capacity / 2, capacity - 1,
+                                           capacity, capacity + 1,
+                                           capacity + capacity / 2};
+            for (const std::uint64_t rate : rates) {
+                for (int trial = 0; trial < 3; ++trial) {
+                    auto requests = seeded_requests(
+                        t, rng, static_cast<int>(rng.uniform(1, 3)), 1, 1);
+                    for (Guaranteed_request& r : requests)
+                        r.rate = Bandwidth(rate);
+                    const std::string what = std::string(family.name) + ' ' +
+                                             std::to_string(rate) + "bps " +
+                                             indexed("trial", trial);
+                    const Mip_encoding encoding =
+                        encode_provisioning(t, requests, {});
+                    mip::Options capped;
+                    capped.max_nodes = 50;
+                    mip::Options cold_capped = two_phase_cold();
+                    cold_capped.max_nodes = capped.max_nodes;
+                    const Provision_result got =
+                        solve_encoding(t, requests, encoding, capped);
+                    const Provision_result cold =
+                        solve_encoding(t, requests, encoding, cold_capped);
+                    ++instances;
+                    EXPECT_EQ(got.feasible, cold.feasible) << what;
+                    EXPECT_EQ(got.proven_infeasible, cold.proven_infeasible)
+                        << what;
+                    if (std::string_view(got.root_start) == "none") ++refused;
+                    if (got.feasible) ++feasible;
+                }
+            }
+        }
+    }
+    EXPECT_GT(refused, 0);
+    EXPECT_GT(feasible, 0);
+    std::printf("%d instances: %d feasible, %d refused by the crash search\n",
+                instances, feasible, refused);
 }
 
 // Property: on random zoo topologies with spread requests, greedy results

@@ -152,14 +152,15 @@ fi
 
 # --- daemon leg: crash-safe control plane, end to end -----------------------
 # The scripted session injects a crash at a publication point (step 3) and
-# drives a proven-infeasible delta; merlind must recover to the last-good
-# snapshot both times, finish at generation 4 with 3 accepted deltas, and
-# archive delta->publish latency percentiles.
+# drives a proven-infeasible delta, whose refusal must name its statement;
+# merlind must recover to the last-good snapshot both times, finish at
+# generation 4 with 3 accepted deltas, and archive delta->publish latency
+# percentiles.
 SESSION_OUT=$(./build-release/merlind --generate fat-tree:4 \
     tests/data/smoke_policy.mln --fault crash-before-publish@3 \
     --script tests/data/daemon_session.ctl \
     --bench-json "$PWD/BENCH_daemon.json")
-echo "$SESSION_OUT" | grep -q "refused code=infeasible gen=2 kind=bandwidth"
+echo "$SESSION_OUT" | grep -q "refused code=infeasible gen=2 kind=bandwidth reason=statement 'g' needs"
 echo "$SESSION_OUT" | grep -q "refused code=crash gen=2 kind=fail"
 echo "$SESSION_OUT" | grep -q "merlind: exiting gen=4 accepted=3"
 test -s BENCH_daemon.json
